@@ -1,33 +1,38 @@
-//! Bench-trajectory comparison: fresh `BENCH_*.json` vs committed
-//! baselines.
+//! The `BENCH_*.json` format, and the bench-trajectory comparison of
+//! fresh reports against committed baselines.
 //!
-//! The report binaries emit their measurements as JSON with a stable
-//! schema; `bench/baseline/` holds committed copies from a known-good
-//! run. [`compare`] flattens both documents to `path -> value` pairs
-//! and gates the **cycle-domain** metrics — numeric keys containing
-//! `cycles` (deterministic simulator outputs, machine-independent) and
-//! booleans the baseline holds `true` (bit-identity, DAG-order and
-//! determinism flags). A gated number may grow at most
-//! [`TOLERANCE`] (15 %) over its baseline; a gated boolean may never
-//! flip to `false`. Everything wall-clock — `*_wall_s`, `*_speedup`,
-//! latency seconds — varies with the host and stays informational.
+//! The report binaries build their measurements as [`Json`] values and
+//! write them through its `Display` serializer; `bench/baseline/`
+//! holds committed copies from a known-good run. Writer and reader
+//! live side by side here, so emitter and gate share one format by
+//! construction. [`compare`] flattens both documents to
+//! `path -> value` pairs and gates the **cycle-domain** metrics —
+//! numeric keys containing `cycles` (deterministic simulator outputs,
+//! machine-independent) and booleans the baseline holds `true`
+//! (bit-identity, DAG-order and determinism flags). A gated number may
+//! grow at most [`TOLERANCE`] (15 %) over its baseline; a gated boolean
+//! may never flip to `false`. Everything wall-clock — `*_wall_s`,
+//! `*_speedup`, latency seconds — varies with the host and stays
+//! informational.
 //!
 //! The parser is a minimal recursive-descent JSON reader (the repo
-//! builds offline; no serde), sufficient for the machine-generated
-//! output of `format::*_json`.
+//! builds offline; no serde) that reads everything the serializer
+//! writes.
+
+use std::fmt::{self, Write as _};
 
 /// Fractional growth a gated cycle-domain metric may show over its
 /// baseline before `bench-diff` fails (0.15 = +15 %).
 pub const TOLERANCE: f64 = 0.15;
 
-/// A parsed JSON value.
+/// A JSON value: what the report binaries build and [`parse`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number, as `f64` (integers are exact up to 2^53).
     Num(f64),
     /// A string literal.
     Str(String),
@@ -35,6 +40,107 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in document order.
     Obj(Vec<(String, Json)>),
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        Json::Num(x)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(x: $t) -> Self {
+                Json::Num(x as f64)
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_owned())
+    }
+}
+
+/// Pretty-prints the value: 2-space indent, one member or element per
+/// line, escaped strings, and `null` for a NaN or infinite number.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl Json {
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            // `Display` for a finite f64 is the shortest decimal that
+            // parses back to the same value, and never uses exponents.
+            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => write_block(f, indent, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(fields) => write_block(
+                f,
+                indent,
+                "{}",
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+/// Writes an array (every key `None`) or an object, one entry per
+/// line at `indent + 2`, closed at `indent`.
+fn write_block<'a>(
+    f: &mut fmt::Formatter<'_>,
+    indent: usize,
+    brackets: &str,
+    entries: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) -> fmt::Result {
+    let (open, close) = brackets.split_at(1);
+    if entries.len() == 0 {
+        return f.write_str(brackets);
+    }
+    let last = entries.len() - 1;
+    writeln!(f, "{open}")?;
+    for (i, (key, v)) in entries.enumerate() {
+        write!(f, "{:1$}", "", indent + 2)?;
+        if let Some(k) = key {
+            write_escaped(f, k)?;
+            f.write_str(": ")?;
+        }
+        v.write(f, indent + 2)?;
+        f.write_str(if i < last { ",\n" } else { "\n" })?;
+    }
+    write!(f, "{:1$}{close}", "", indent)
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 struct Parser<'a> {
@@ -109,27 +215,38 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        // Raw bytes, so multi-byte UTF-8 passes through intact.
+        let mut s = Vec::new();
         loop {
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return String::from_utf8(s).map_err(|e| e.to_string());
                 }
                 Some(b'\\') => {
-                    // The report formatters never emit escapes beyond
-                    // these; \u is out of scope for this reader.
-                    let esc = self.bytes.get(self.pos + 1);
-                    s.push(match esc {
+                    let c = match self.bytes.get(self.pos + 1) {
                         Some(b'n') => '\n',
                         Some(b't') => '\t',
-                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+                        Some(b'r') => '\r',
+                        Some(&c @ (b'"' | b'\\' | b'/')) => char::from(c),
+                        Some(b'u') => {
+                            let c = self
+                                .bytes
+                                .get(self.pos + 2..self.pos + 6)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            self.pos += 4;
+                            c
+                        }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    });
+                    };
+                    s.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                     self.pos += 2;
                 }
                 Some(&c) => {
-                    s.push(c as char);
+                    s.push(c);
                     self.pos += 1;
                 }
                 None => return Err("unterminated string".into()),
@@ -351,6 +468,57 @@ mod tests {
         assert!(flat.contains(&("nothing".into(), Json::Null)));
         assert!(parse("{ \"a\": 1 } x").is_err());
         assert!(parse("{ \"a\": }").is_err());
+    }
+
+    #[test]
+    fn serializer_round_trips_through_the_parser() {
+        let obj = |fields: Vec<(&str, Json)>| {
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let v = obj(vec![
+            (
+                "text",
+                Json::from("say \"hi\" \\ path\nnext\ttab \u{1} 3×3"),
+            ),
+            ("max_exact", Json::from(1u64 << 53)),
+            ("neg", Json::Num(-0.125)),
+            ("tiny", Json::Num(3.9e-5)),
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "runs",
+                Json::Arr(vec![
+                    obj(vec![("jobs", Json::from(23u32)), ("ok", Json::from(true))]),
+                    obj(Vec::new()),
+                    Json::Null,
+                ]),
+            ),
+        ]);
+        let text = v.to_string();
+        assert_eq!(parse(&text), Ok(v));
+        // Two-space indent, one member per line.
+        assert!(text.contains("\n  \"max_exact\": 9007199254740992,\n"));
+        assert!(
+            text.contains("\n    {\n      \"jobs\": 23,\n      \"ok\": true\n    },\n    {},\n")
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_serialize_as_null() {
+        let v = Json::Arr(vec![
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            Json::Num(f64::NEG_INFINITY),
+            Json::Num(1.5),
+        ]);
+        assert_eq!(
+            parse(&v.to_string()),
+            Ok(Json::Arr(vec![
+                Json::Null,
+                Json::Null,
+                Json::Null,
+                Json::Num(1.5)
+            ]))
+        );
     }
 
     #[test]

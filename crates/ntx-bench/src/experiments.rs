@@ -449,8 +449,7 @@ pub fn scaling_report() -> ScalingReport {
 
 // ----------------------------------------------------- serving stack
 
-/// One async-server run of the serving experiment (the same submission
-/// pattern, measured once per admission mode).
+/// The async-server run of the serving experiment.
 #[derive(Debug, Clone)]
 pub struct ServerRunStats {
     /// Jobs completed by the run.
@@ -471,8 +470,7 @@ pub struct ServerRunStats {
 /// stack exercised end to end — pipelined farm vs barriered reference,
 /// continuous admission vs its barriered same-placement oracle,
 /// analytical estimates, and the async front-end under multi-client
-/// load in both admission modes (continuous, the default, vs the
-/// wave-batched baseline).
+/// load.
 #[derive(Debug, Clone)]
 pub struct ServingBenchReport {
     /// Clusters in the farm.
@@ -511,16 +509,8 @@ pub struct ServingBenchReport {
     /// Simulator cycles spent while answering the estimates (must be
     /// zero — estimates never touch the farm).
     pub estimate_sim_cycles: u64,
-    /// The async server under continuous admission (the default).
+    /// The async server under multi-client load.
     pub continuous: ServerRunStats,
-    /// The async server under wave batching (the PR 3 baseline).
-    pub wave: ServerRunStats,
-    /// `wave mean latency / continuous mean latency` — the continuous
-    /// admission win (≥ 1.0 means continuous is no worse).
-    pub latency_win: f64,
-    /// `continuous jobs/s / wave jobs/s` (≥ 1.0 means continuous
-    /// throughput is no worse).
-    pub throughput_ratio: f64,
     /// Worker-pool core-scaling sweep: the same continuous drive at
     /// 1, 2 and 4 pool threads, wall-clock jobs/s each.
     pub pool_scaling: Vec<PoolScalingPoint>,
@@ -701,14 +691,10 @@ fn serving_jobs() -> Vec<(String, ntx_sched::JobKind)> {
 
 /// Submits the serving queue to an async server (four clients, four
 /// jobs each, assorted priorities, generous deadlines) and returns the
-/// run statistics. One submission pattern shared by both admission
-/// modes so their latency/throughput numbers compare like for like.
-fn serve_queue(
-    jobs: &[(String, ntx_sched::JobKind)],
-    config: ntx_sched::ServerConfig,
-) -> ServerRunStats {
-    use ntx_sched::Server;
-    let server = Server::start(config);
+/// run statistics.
+fn serve_queue(jobs: &[(String, ntx_sched::JobKind)], clusters: usize) -> ServerRunStats {
+    use ntx_sched::{Server, ServerConfig};
+    let server = Server::start(ServerConfig::with_clusters(clusters));
     let mut clients = Vec::new();
     for (client, chunk) in jobs.chunks(4).enumerate() {
         let session = server.session();
@@ -821,7 +807,7 @@ fn continuous_vs_barriered_oracle(
 /// drops a job — both indicate scheduler bugs.
 #[must_use]
 pub fn serving_report() -> ServingBenchReport {
-    use ntx_sched::{JobQueue, ScaleOutConfig, ScaleOutExecutor, ServerConfig};
+    use ntx_sched::{JobQueue, ScaleOutConfig, ScaleOutExecutor};
     let clusters = 8usize;
     let jobs = serving_jobs();
 
@@ -889,20 +875,8 @@ pub fn serving_report() -> ServingBenchReport {
     let (continuous_makespan_cycles, continuous_bit_identical) =
         continuous_vs_barriered_oracle(&jobs, clusters);
 
-    // The async front-end under multi-client load, once per admission
-    // mode: continuous (the default) and the wave-batched baseline.
-    let continuous = serve_queue(&jobs, ServerConfig::with_clusters(clusters));
-    let wave = serve_queue(&jobs, ServerConfig::with_clusters(clusters).wave_batched());
-    let latency_win = if continuous.mean_latency_s > 0.0 {
-        wave.mean_latency_s / continuous.mean_latency_s
-    } else {
-        1.0
-    };
-    let throughput_ratio = if wave.jobs_per_second > 0.0 {
-        continuous.jobs_per_second / wave.jobs_per_second
-    } else {
-        1.0
-    };
+    // The async front-end under multi-client load.
+    let continuous = serve_queue(&jobs, clusters);
 
     // Worker-pool core scaling: the same drive at 1/2/4 pool threads,
     // differential-checked against the serial run.
@@ -924,9 +898,6 @@ pub fn serving_report() -> ServingBenchReport {
         estimated_cycles_total,
         estimate_sim_cycles,
         continuous,
-        wave,
-        latency_win,
-        throughput_ratio,
         pool_scaling,
         pool_speedup_4x,
         pool_bit_identical,
@@ -1463,32 +1434,11 @@ mod tests {
             "continuous admission must match its barriered same-placement oracle"
         );
         assert!(r.continuous_makespan_cycles > 0);
-        for (mode, stats) in [("continuous", &r.continuous), ("wave", &r.wave)] {
-            assert_eq!(stats.served_jobs, r.jobs as u64, "{mode} dropped jobs");
-            assert_eq!(stats.deadline_misses, 0, "{mode} missed deadlines");
-            assert!(stats.jobs_per_second > 0.0, "{mode} throughput");
-            assert!(
-                stats.occupancy > 0.0 && stats.occupancy <= 1.0,
-                "{mode} occupancy"
-            );
-        }
-        // Continuous admission delivers completions as jobs retire
-        // instead of at wave boundaries; its mean latency must not
-        // regress behind wave batching. (The release-mode bench gate
-        // enforces the strict win; debug timing keeps a small margin.)
-        // Latency here is pure wall clock, so a loaded test host can
-        // depress a single sample — retry before declaring a loss.
-        let mut win = r.latency_win;
-        for _ in 0..2 {
-            if win > 0.8 {
-                break;
-            }
-            win = serving_report().latency_win;
-        }
-        assert!(
-            win > 0.8,
-            "continuous mean latency fell far behind wave batching: {win:.3}"
-        );
+        let served = &r.continuous;
+        assert_eq!(served.served_jobs, r.jobs as u64, "server dropped jobs");
+        assert_eq!(served.deadline_misses, 0, "server missed deadlines");
+        assert!(served.jobs_per_second > 0.0);
+        assert!(served.occupancy > 0.0 && served.occupancy <= 1.0);
     }
 
     #[test]

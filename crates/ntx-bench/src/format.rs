@@ -1,9 +1,28 @@
-//! Plain-text table formatting for the report binaries.
+//! Report formatting: plain-text tables for the terminal, and the
+//! `BENCH_*.json` documents, built as [`Json`] values.
 
+use crate::diff::Json;
 use crate::experiments::{PrecisionReport, Table1Report};
 use ntx_model::compare::{AreaFigure, EfficiencyFigure, PlatformRow, StencilPlatform};
 use ntx_model::roofline::{Roofline, RooflinePoint};
 use ntx_model::table2::Table2Row;
+
+/// Builds a [`Json::Obj`] from `"key" => value` members, in order.
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        Json::Obj(vec![$(($key.to_owned(), Json::from($value))),*])
+    };
+}
+
+/// A JSON array of `f` applied to each item.
+fn arr<T>(items: &[T], f: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(f).collect())
+}
+
+/// A whole `BENCH_*.json` document: the value plus a final newline.
+fn document(v: &Json) -> String {
+    format!("{v}\n")
+}
 
 /// Formats Table I ("Figures of merit of one NTX cluster").
 #[must_use]
@@ -281,60 +300,37 @@ pub fn hmc(r: &crate::experiments::HmcReport) -> String {
     s
 }
 
-fn hmc_point_json(p: &crate::experiments::HmcScalingPoint) -> String {
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"clusters\": {},\n",
-            "        \"ideal_makespan_cycles\": {},\n",
-            "        \"contended_makespan_cycles\": {},\n",
-            "        \"slowdown\": {:.4},\n",
-            "        \"efficiency\": {:.4},\n",
-            "        \"achieved_ext_bandwidth\": {:.1},\n",
-            "        \"ext_wait_fraction\": {:.4},\n",
-            "        \"bit_identical\": {}\n",
-            "      }}"
-        ),
-        p.clusters,
-        p.ideal_makespan_cycles,
-        p.contended_makespan_cycles,
-        p.slowdown,
-        p.efficiency,
-        p.achieved_ext_bandwidth,
-        p.ext_wait_fraction,
-        p.bit_identical
-    )
+fn hmc_point_json(p: &crate::experiments::HmcScalingPoint) -> Json {
+    obj! {
+        "clusters" => p.clusters,
+        "ideal_makespan_cycles" => p.ideal_makespan_cycles,
+        "contended_makespan_cycles" => p.contended_makespan_cycles,
+        "slowdown" => p.slowdown,
+        "efficiency" => p.efficiency,
+        "achieved_ext_bandwidth" => p.achieved_ext_bandwidth,
+        "ext_wait_fraction" => p.ext_wait_fraction,
+        "bit_identical" => p.bit_identical,
+    }
 }
 
-fn hmc_curve_json(c: &crate::experiments::HmcWorkloadCurve) -> String {
-    let points: Vec<String> = c.points.iter().map(hmc_point_json).collect();
-    format!(
-        "{{\n    \"workload\": \"{}\",\n    \"points\": [\n{}\n    ]\n  }}",
-        c.workload,
-        points.join(",\n")
-    )
+fn hmc_curve_json(c: &crate::experiments::HmcWorkloadCurve) -> Json {
+    obj! {
+        "workload" => c.workload.as_str(),
+        "points" => arr(&c.points, hmc_point_json),
+    }
 }
 
 /// Serialises the shared-HMC saturation measurement as the
-/// `BENCH_hmc.json` artifact (hand-rolled: no serde in the container).
+/// `BENCH_hmc.json` artifact.
 #[must_use]
 pub fn hmc_json(r: &crate::experiments::HmcReport) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"shared_bandwidth\": {:.1},\n",
-            "  \"shared_words_per_cycle\": {:.4},\n",
-            "  \"conv\": {},\n",
-            "  \"gemm\": {},\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        r.shared_bandwidth,
-        r.shared_words_per_cycle,
-        hmc_curve_json(&r.conv),
-        hmc_curve_json(&r.gemm),
-        r.bit_identical
-    )
+    document(&obj! {
+        "shared_bandwidth" => r.shared_bandwidth,
+        "shared_words_per_cycle" => r.shared_words_per_cycle,
+        "conv" => hmc_curve_json(&r.conv),
+        "gemm" => hmc_curve_json(&r.gemm),
+        "bit_identical" => r.bit_identical,
+    })
 }
 
 /// Formats one curve of the mesh weak-scaling sweep.
@@ -392,68 +388,40 @@ pub fn mesh(r: &crate::experiments::MeshReport) -> String {
     s
 }
 
-fn mesh_point_json(p: &crate::experiments::MeshScalingPoint) -> String {
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"clusters\": {},\n",
-            "        \"cubes\": {},\n",
-            "        \"ideal_makespan_cycles\": {},\n",
-            "        \"affine_makespan_cycles\": {},\n",
-            "        \"naive_makespan_cycles\": {},\n",
-            "        \"affine_efficiency\": {:.4},\n",
-            "        \"naive_efficiency\": {:.4},\n",
-            "        \"affine_remote_bytes\": {},\n",
-            "        \"naive_remote_bytes\": {},\n",
-            "        \"naive_remote_wait_fraction\": {:.4},\n",
-            "        \"bit_identical\": {}\n",
-            "      }}"
-        ),
-        p.clusters,
-        p.cubes,
-        p.ideal_makespan_cycles,
-        p.affine_makespan_cycles,
-        p.naive_makespan_cycles,
-        p.affine_efficiency,
-        p.naive_efficiency,
-        p.affine_remote_bytes,
-        p.naive_remote_bytes,
-        p.naive_remote_wait_fraction,
-        p.bit_identical
-    )
+fn mesh_point_json(p: &crate::experiments::MeshScalingPoint) -> Json {
+    obj! {
+        "clusters" => p.clusters,
+        "cubes" => p.cubes,
+        "ideal_makespan_cycles" => p.ideal_makespan_cycles,
+        "affine_makespan_cycles" => p.affine_makespan_cycles,
+        "naive_makespan_cycles" => p.naive_makespan_cycles,
+        "affine_efficiency" => p.affine_efficiency,
+        "naive_efficiency" => p.naive_efficiency,
+        "affine_remote_bytes" => p.affine_remote_bytes,
+        "naive_remote_bytes" => p.naive_remote_bytes,
+        "naive_remote_wait_fraction" => p.naive_remote_wait_fraction,
+        "bit_identical" => p.bit_identical,
+    }
 }
 
-fn mesh_curve_json(c: &crate::experiments::MeshWorkloadCurve) -> String {
-    let points: Vec<String> = c.points.iter().map(mesh_point_json).collect();
-    format!(
-        "{{\n    \"workload\": \"{}\",\n    \"points\": [\n{}\n    ]\n  }}",
-        c.workload,
-        points.join(",\n")
-    )
+fn mesh_curve_json(c: &crate::experiments::MeshWorkloadCurve) -> Json {
+    obj! {
+        "workload" => c.workload.as_str(),
+        "points" => arr(&c.points, mesh_point_json),
+    }
 }
 
-/// Serialises the mesh measurement as the `BENCH_mesh.json` artifact
-/// (hand-rolled: no serde in the container).
+/// Serialises the mesh measurement as the `BENCH_mesh.json` artifact.
 #[must_use]
 pub fn mesh_json(r: &crate::experiments::MeshReport) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"cube_bandwidth\": {:.1},\n",
-            "  \"link_words_per_cycle\": {:.4},\n",
-            "  \"link_latency_cycles\": {},\n",
-            "  \"conv\": {},\n",
-            "  \"gemm\": {},\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        r.cube_bandwidth,
-        r.link_words_per_cycle,
-        r.link_latency_cycles,
-        mesh_curve_json(&r.conv),
-        mesh_curve_json(&r.gemm),
-        r.bit_identical
-    )
+    document(&obj! {
+        "cube_bandwidth" => r.cube_bandwidth,
+        "link_words_per_cycle" => r.link_words_per_cycle,
+        "link_latency_cycles" => r.link_latency_cycles,
+        "conv" => mesh_curve_json(&r.conv),
+        "gemm" => mesh_curve_json(&r.gemm),
+        "bit_identical" => r.bit_identical,
+    })
 }
 
 /// Formats the simulator fast-path measurement.
@@ -517,21 +485,16 @@ pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
         "  analytical backend : {:>12} cycles estimated, {} simulator cycles spent\n",
         r.estimated_cycles_total, r.estimate_sim_cycles
     ));
-    for (mode, st) in [("continuous", &r.continuous), ("wave      ", &r.wave)] {
-        s.push_str(&format!(
-            "  server ({mode}): {} jobs, {:.1} jobs/s, latency mean {:.1} ms / max {:.1} ms, \
-             occupancy {:.0}%, {} deadline misses\n",
-            st.served_jobs,
-            st.jobs_per_second,
-            st.mean_latency_s * 1e3,
-            st.max_latency_s * 1e3,
-            st.occupancy * 100.0,
-            st.deadline_misses
-        ));
-    }
+    let st = &r.continuous;
     s.push_str(&format!(
-        "  continuous vs wave : {:.2}x mean-latency win, {:.2}x throughput\n",
-        r.latency_win, r.throughput_ratio
+        "  server (continuous): {} jobs, {:.1} jobs/s, latency mean {:.1} ms / max {:.1} ms, \
+         occupancy {:.0}%, {} deadline misses\n",
+        st.served_jobs,
+        st.jobs_per_second,
+        st.mean_latency_s * 1e3,
+        st.max_latency_s * 1e3,
+        st.occupancy * 100.0,
+        st.deadline_misses
     ));
     s.push_str(&format!(
         "  worker-pool scaling ({} host cores, bit-identical to serial: {}):\n",
@@ -551,129 +514,73 @@ pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
 }
 
 /// One server-run block of the `BENCH_serving.json` artifact.
-fn server_run_json(st: &crate::experiments::ServerRunStats) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"served_jobs\": {},\n",
-            "    \"jobs_per_second\": {:.2},\n",
-            "    \"mean_latency_seconds\": {:.6},\n",
-            "    \"max_latency_seconds\": {:.6},\n",
-            "    \"occupancy\": {:.4},\n",
-            "    \"deadline_misses\": {}\n",
-            "  }}"
-        ),
-        st.served_jobs,
-        st.jobs_per_second,
-        st.mean_latency_s,
-        st.max_latency_s,
-        st.occupancy,
-        st.deadline_misses
-    )
+fn server_run_json(st: &crate::experiments::ServerRunStats) -> Json {
+    obj! {
+        "served_jobs" => st.served_jobs,
+        "jobs_per_second" => st.jobs_per_second,
+        "mean_latency_seconds" => st.mean_latency_s,
+        "max_latency_seconds" => st.max_latency_s,
+        "occupancy" => st.occupancy,
+        "deadline_misses" => st.deadline_misses,
+    }
 }
 
 /// Serialises the serving-stack measurement as the
-/// `BENCH_serving.json` artifact (hand-rolled: no serde in the
-/// container).
+/// `BENCH_serving.json` artifact.
 #[must_use]
 pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"clusters\": {},\n",
-            "  \"jobs\": {},\n",
-            "  \"barriered_makespan_cycles\": {},\n",
-            "  \"fullwidth_makespan_cycles\": {},\n",
-            "  \"pipelined_makespan_cycles\": {},\n",
-            "  \"pipelined_speedup\": {:.3},\n",
-            "  \"fullwidth_speedup\": {:.3},\n",
-            "  \"bit_identical\": {},\n",
-            "  \"snapshots_identical\": {},\n",
-            "  \"continuous_makespan_cycles\": {},\n",
-            "  \"continuous_bit_identical\": {},\n",
-            "  \"estimated_cycles_total\": {},\n",
-            "  \"estimate_sim_cycles\": {},\n",
-            "  \"server_continuous\": {},\n",
-            "  \"server_wave\": {},\n",
-            "  \"latency_win\": {:.3},\n",
-            "  \"throughput_ratio\": {:.3},\n",
-            "  \"host_cores\": {},\n",
-            "  \"pool_bit_identical\": {},\n",
-            "  \"pool_speedup_4x\": {:.3},\n",
-            "  \"pool_scaling\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        r.clusters,
-        r.jobs,
-        r.barriered_makespan_cycles,
-        r.fullwidth_makespan_cycles,
-        r.pipelined_makespan_cycles,
-        r.pipelined_speedup,
-        r.fullwidth_speedup,
-        r.bit_identical,
-        r.snapshots_identical,
-        r.continuous_makespan_cycles,
-        r.continuous_bit_identical,
-        r.estimated_cycles_total,
-        r.estimate_sim_cycles,
-        server_run_json(&r.continuous),
-        server_run_json(&r.wave),
-        r.latency_win,
-        r.throughput_ratio,
-        r.host_cores,
-        r.pool_bit_identical,
-        r.pool_speedup_4x,
-        r.pool_scaling
-            .iter()
-            .map(|p| format!(
-                "    {{ \"threads\": {}, \"jobs_per_second\": {:.2}, \"speedup\": {:.3} }}",
-                p.threads, p.jobs_per_second, p.speedup
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    )
+    document(&obj! {
+        "clusters" => r.clusters,
+        "jobs" => r.jobs,
+        "barriered_makespan_cycles" => r.barriered_makespan_cycles,
+        "fullwidth_makespan_cycles" => r.fullwidth_makespan_cycles,
+        "pipelined_makespan_cycles" => r.pipelined_makespan_cycles,
+        "pipelined_speedup" => r.pipelined_speedup,
+        "fullwidth_speedup" => r.fullwidth_speedup,
+        "bit_identical" => r.bit_identical,
+        "snapshots_identical" => r.snapshots_identical,
+        "continuous_makespan_cycles" => r.continuous_makespan_cycles,
+        "continuous_bit_identical" => r.continuous_bit_identical,
+        "estimated_cycles_total" => r.estimated_cycles_total,
+        "estimate_sim_cycles" => r.estimate_sim_cycles,
+        "server_continuous" => server_run_json(&r.continuous),
+        "host_cores" => r.host_cores,
+        "pool_bit_identical" => r.pool_bit_identical,
+        "pool_speedup_4x" => r.pool_speedup_4x,
+        "pool_scaling" => arr(&r.pool_scaling, |p| obj! {
+            "threads" => p.threads,
+            "jobs_per_second" => p.jobs_per_second,
+            "speedup" => p.speedup,
+        }),
+    })
 }
 
-fn simperf_workload_json(w: &crate::experiments::SimPerfWorkload) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"simulated_cycles\": {},\n",
-            "      \"simulated_elements\": {},\n",
-            "      \"flops\": {},\n",
-            "      \"wall_seconds_fast\": {:.6},\n",
-            "      \"wall_seconds_per_cycle\": {:.6},\n",
-            "      \"elements_per_sec_fast\": {:.1},\n",
-            "      \"elements_per_sec_per_cycle\": {:.1},\n",
-            "      \"speedup\": {:.3},\n",
-            "      \"bit_identical\": {},\n",
-            "      \"counters_identical\": {}\n",
-            "    }}"
-        ),
-        w.workload,
-        w.cycles,
-        w.elements,
-        w.flops,
-        w.wall_fast_s,
-        w.wall_reference_s,
-        w.elements_per_sec_fast,
-        w.elements_per_sec_reference,
-        w.speedup,
-        w.bit_identical,
-        w.counters_identical
-    )
+fn simperf_workload_json(w: &crate::experiments::SimPerfWorkload) -> Json {
+    obj! {
+        "workload" => w.workload,
+        "simulated_cycles" => w.cycles,
+        "simulated_elements" => w.elements,
+        "flops" => w.flops,
+        "wall_seconds_fast" => w.wall_fast_s,
+        "wall_seconds_per_cycle" => w.wall_reference_s,
+        "elements_per_sec_fast" => w.elements_per_sec_fast,
+        "elements_per_sec_per_cycle" => w.elements_per_sec_reference,
+        "speedup" => w.speedup,
+        "bit_identical" => w.bit_identical,
+        "counters_identical" => w.counters_identical,
+    }
 }
 
 /// Serialises the simulator fast-path measurement as the
-/// `BENCH_sim.json` artifact (hand-rolled: no serde in the container).
+/// `BENCH_sim.json` artifact.
 #[must_use]
 pub fn simperf_json(r: &crate::experiments::SimPerfReport) -> String {
-    format!(
-        "{{\n  \"workloads\": [\n{},\n{}\n  ]\n}}\n",
-        simperf_workload_json(&r.streaming),
-        simperf_workload_json(&r.single_ntx)
-    )
+    document(&obj! {
+        "workloads" => Json::Arr(vec![
+            simperf_workload_json(&r.streaming),
+            simperf_workload_json(&r.single_ntx),
+        ]),
+    })
 }
 
 /// Renders the chaos / robustness measurement for the terminal.
@@ -739,91 +646,50 @@ pub fn chaos(r: &crate::experiments::ChaosBenchReport) -> String {
 }
 
 /// One open-loop run block of the `BENCH_chaos.json` artifact.
-fn chaos_run_json(st: &crate::experiments::ChaosRunStats) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"offered\": {},\n",
-            "    \"completed\": {},\n",
-            "    \"shed\": {},\n",
-            "    \"deadline_misses\": {},\n",
-            "    \"miss_rate\": {:.4},\n",
-            "    \"p50_cycles\": {},\n",
-            "    \"p99_cycles\": {},\n",
-            "    \"p999_cycles\": {},\n",
-            "    \"makespan_cycles\": {}\n",
-            "  }}"
-        ),
-        st.offered,
-        st.completed,
-        st.shed,
-        st.deadline_misses,
-        st.miss_rate(),
-        st.p50_cycles,
-        st.p99_cycles,
-        st.p999_cycles,
-        st.makespan_cycles
-    )
+fn chaos_run_json(st: &crate::experiments::ChaosRunStats) -> Json {
+    obj! {
+        "offered" => st.offered,
+        "completed" => st.completed,
+        "shed" => st.shed,
+        "deadline_misses" => st.deadline_misses,
+        "miss_rate" => st.miss_rate(),
+        "p50_cycles" => st.p50_cycles,
+        "p99_cycles" => st.p99_cycles,
+        "p999_cycles" => st.p999_cycles,
+        "makespan_cycles" => st.makespan_cycles,
+    }
 }
 
 /// Serialises the chaos measurement as the `BENCH_chaos.json`
-/// artifact (hand-rolled: no serde in the container).
+/// artifact.
 #[must_use]
 pub fn chaos_json(r: &crate::experiments::ChaosBenchReport) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"clusters\": {},\n",
-            "  \"jobs\": {},\n",
-            "  \"calib_makespan_cycles\": {},\n",
-            "  \"budget_cycles\": {},\n",
-            "  \"baseline_makespan_cycles\": {},\n",
-            "  \"faulted_makespan_cycles\": {},\n",
-            "  \"makespan_ratio\": {:.4},\n",
-            "  \"degradation_bound\": {:.4},\n",
-            "  \"jobs_lost\": {},\n",
-            "  \"recovery_bit_identical\": {},\n",
-            "  \"faults_injected\": {},\n",
-            "  \"shards_retried\": {},\n",
-            "  \"fault_stall_cycles\": {},\n",
-            "  \"unsaturated\": {},\n",
-            "  \"saturated\": {},\n",
-            "  \"p99_ratio\": {:.4},\n",
-            "  \"p99_bound\": {:.1},\n",
-            "  \"link_wait_base_cycles\": {},\n",
-            "  \"link_wait_faulted_cycles\": {},\n",
-            "  \"link_bit_identical\": {},\n",
-            "  \"async_submitted\": {},\n",
-            "  \"async_completed\": {},\n",
-            "  \"async_backpressure\": {},\n",
-            "  \"async_all_explicit\": {}\n",
-            "}}\n"
-        ),
-        r.clusters,
-        r.jobs,
-        r.calib_makespan_cycles,
-        r.budget_cycles,
-        r.baseline_makespan_cycles,
-        r.faulted_makespan_cycles,
-        r.makespan_ratio,
-        r.degradation_bound,
-        r.jobs_lost,
-        r.recovery_bit_identical,
-        r.faults_injected,
-        r.shards_retried,
-        r.fault_stall_cycles,
-        chaos_run_json(&r.unsaturated),
-        chaos_run_json(&r.saturated),
-        r.p99_ratio,
-        r.p99_bound,
-        r.link_wait_base_cycles,
-        r.link_wait_faulted_cycles,
-        r.link_bit_identical,
-        r.async_submitted,
-        r.async_completed,
-        r.async_backpressure,
-        r.async_all_explicit
-    )
+    document(&obj! {
+        "clusters" => r.clusters,
+        "jobs" => r.jobs,
+        "calib_makespan_cycles" => r.calib_makespan_cycles,
+        "budget_cycles" => r.budget_cycles,
+        "baseline_makespan_cycles" => r.baseline_makespan_cycles,
+        "faulted_makespan_cycles" => r.faulted_makespan_cycles,
+        "makespan_ratio" => r.makespan_ratio,
+        "degradation_bound" => r.degradation_bound,
+        "jobs_lost" => r.jobs_lost,
+        "recovery_bit_identical" => r.recovery_bit_identical,
+        "faults_injected" => r.faults_injected,
+        "shards_retried" => r.shards_retried,
+        "fault_stall_cycles" => r.fault_stall_cycles,
+        "unsaturated" => chaos_run_json(&r.unsaturated),
+        "saturated" => chaos_run_json(&r.saturated),
+        "p99_ratio" => r.p99_ratio,
+        "p99_bound" => r.p99_bound,
+        "link_wait_base_cycles" => r.link_wait_base_cycles,
+        "link_wait_faulted_cycles" => r.link_wait_faulted_cycles,
+        "link_bit_identical" => r.link_bit_identical,
+        "async_submitted" => r.async_submitted,
+        "async_completed" => r.async_completed,
+        "async_backpressure" => r.async_backpressure,
+        "async_all_explicit" => r.async_all_explicit,
+    })
 }
 
 /// Formats the native-CPU backend report as a text table.
@@ -868,55 +734,31 @@ pub fn cpu(r: &crate::experiments::CpuBenchReport) -> String {
     s
 }
 
-fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"elements\": {},\n",
-            "      \"sim_wall_s\": {:.9},\n",
-            "      \"fast_wall_s\": {:.9},\n",
-            "      \"exact_wall_s\": {:.9},\n",
-            "      \"fast_speedup\": {:.2},\n",
-            "      \"exact_speedup\": {:.2},\n",
-            "      \"exact_bit_identical\": {},\n",
-            "      \"fast_rmse\": {:e},\n",
-            "      \"fast_max_abs_err\": {:e}\n",
-            "    }}"
-        ),
-        p.workload,
-        p.elements,
-        p.sim_wall_s,
-        p.fast_wall_s,
-        p.exact_wall_s,
-        p.fast_speedup,
-        p.exact_speedup,
-        p.exact_bit_identical,
-        p.fast_rmse,
-        p.fast_max_abs_err
-    )
+fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> Json {
+    obj! {
+        "workload" => p.workload.as_str(),
+        "elements" => p.elements,
+        "sim_wall_s" => p.sim_wall_s,
+        "fast_wall_s" => p.fast_wall_s,
+        "exact_wall_s" => p.exact_wall_s,
+        "fast_speedup" => p.fast_speedup,
+        "exact_speedup" => p.exact_speedup,
+        "exact_bit_identical" => p.exact_bit_identical,
+        "fast_rmse" => p.fast_rmse,
+        "fast_max_abs_err" => p.fast_max_abs_err,
+    }
 }
 
 /// Formats the native-CPU backend report as JSON (for `BENCH_cpu.json`).
 #[must_use]
 pub fn cpu_json(r: &crate::experiments::CpuBenchReport) -> String {
-    let workloads: Vec<String> = r.workloads.iter().map(cpu_point_json).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"host_cores\": {},\n",
-            "  \"threads\": {},\n",
-            "  \"workloads\": [\n{}\n  ],\n",
-            "  \"exact_bit_identical\": {},\n",
-            "  \"gated_fast_speedup\": {:.2}\n",
-            "}}\n"
-        ),
-        r.host_cores,
-        r.threads,
-        workloads.join(",\n"),
-        r.exact_bit_identical,
-        r.gated_fast_speedup
-    )
+    document(&obj! {
+        "host_cores" => r.host_cores,
+        "threads" => r.threads,
+        "workloads" => arr(&r.workloads, cpu_point_json),
+        "exact_bit_identical" => r.exact_bit_identical,
+        "gated_fast_speedup" => r.gated_fast_speedup,
+    })
 }
 
 /// Formats the training-step DAG report as a text table.
@@ -979,62 +821,37 @@ pub fn dnn(r: &crate::experiments::DnnBenchReport) -> String {
     s
 }
 
-fn dnn_run_json(run: &crate::experiments::DnnStepRun) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"backend\": \"{}\",\n",
-            "      \"jobs\": {},\n",
-            "      \"failed\": {},\n",
-            "      \"wall_s\": {:.9},\n",
-            "      \"makespan_cycles\": {},\n",
-            "      \"order_topological\": {}\n",
-            "    }}"
-        ),
-        run.backend, run.jobs, run.failed, run.wall_s, run.makespan_cycles, run.order_topological
-    )
+fn dnn_run_json(run: &crate::experiments::DnnStepRun) -> Json {
+    obj! {
+        "backend" => run.backend.as_str(),
+        "jobs" => run.jobs,
+        "failed" => run.failed,
+        "wall_s" => run.wall_s,
+        "makespan_cycles" => run.makespan_cycles,
+        "order_topological" => run.order_topological,
+    }
 }
 
 /// Formats the training-step DAG report as JSON (for `BENCH_dnn.json`).
 #[must_use]
 pub fn dnn_json(r: &crate::experiments::DnnBenchReport) -> String {
-    let runs: Vec<String> = r.runs.iter().map(dnn_run_json).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"network\": \"{}\",\n",
-            "  \"ops\": {},\n",
-            "  \"batch\": {},\n",
-            "  \"dim_cap\": {},\n",
-            "  \"clusters\": {},\n",
-            "  \"scaled_macs\": {},\n",
-            "  \"full_macs\": {},\n",
-            "  \"runs\": [\n{}\n  ],\n",
-            "  \"sim_native_bit_identical\": {},\n",
-            "  \"sim_deterministic\": {},\n",
-            "  \"split_oracle_bit_identical\": {},\n",
-            "  \"deep_split_bit_identical\": {},\n",
-            "  \"deep_fast_max_abs_err\": {:e},\n",
-            "  \"predicted_step_s\": {:.9},\n",
-            "  \"predicted_flops\": {:.1}\n",
-            "}}\n"
-        ),
-        r.network,
-        r.ops,
-        r.batch,
-        r.dim_cap,
-        r.clusters,
-        r.scaled_macs,
-        r.full_macs,
-        runs.join(",\n"),
-        r.sim_native_bit_identical,
-        r.sim_deterministic,
-        r.split_oracle_bit_identical,
-        r.deep_split_bit_identical,
-        r.deep_fast_max_abs_err,
-        r.predicted_step_s,
-        r.predicted_flops
-    )
+    document(&obj! {
+        "network" => r.network.as_str(),
+        "ops" => r.ops,
+        "batch" => r.batch,
+        "dim_cap" => r.dim_cap,
+        "clusters" => r.clusters,
+        "scaled_macs" => r.scaled_macs,
+        "full_macs" => r.full_macs,
+        "runs" => arr(&r.runs, dnn_run_json),
+        "sim_native_bit_identical" => r.sim_native_bit_identical,
+        "sim_deterministic" => r.sim_deterministic,
+        "split_oracle_bit_identical" => r.split_oracle_bit_identical,
+        "deep_split_bit_identical" => r.deep_split_bit_identical,
+        "deep_fast_max_abs_err" => r.deep_fast_max_abs_err,
+        "predicted_step_s" => r.predicted_step_s,
+        "predicted_flops" => r.predicted_flops,
+    })
 }
 
 #[cfg(test)]

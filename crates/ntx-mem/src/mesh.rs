@@ -35,7 +35,7 @@
 //! cube (a 1-contender [`HmcPort`] with the clipped budget), so every
 //! port in the mesh remains a pure function of
 //! `(cycle, geometry, budgets)`: farm clusters still simulate
-//! independently (the `parallel` feature is untouched) and runs are
+//! independently (on any worker thread) and runs are
 //! bit-reproducible. Like the single cube, the mesh arbitrates
 //! *timing only* — backing stores are private per cluster, so outputs
 //! are bit-identical to an ideal-memory run. The remote schedule is

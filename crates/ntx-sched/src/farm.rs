@@ -74,8 +74,8 @@ pub struct PlacedJob {
 /// How a shard's AXI port is wired for its run: the grant schedule of
 /// the job's home cube as seen from the executing cluster, plus the
 /// hop cost when that cube is remote. Pure data computed from the
-/// static mesh geometry, so both drive modes (and the `parallel`
-/// feature) wire shards identically.
+/// static mesh geometry, so both drive modes (and every pool worker)
+/// wire shards identically.
 #[derive(Debug, Clone, Copy)]
 struct ShardWiring {
     port: HmcPort,
@@ -314,7 +314,11 @@ impl WorkerPool {
         for slots in owned {
             let (tx, rx) = mpsc::channel::<WorkerCmd>();
             cmd_tx.push(tx);
-            handles.push(std::thread::spawn(move || worker_loop(slots, faults, rx)));
+            let worker = std::thread::Builder::new()
+                .name(format!("ntx-pool-{}", handles.len()))
+                .spawn(move || worker_loop(slots, faults, rx))
+                .expect("spawn a farm pool worker thread");
+            handles.push(worker);
         }
         Self {
             cmd_tx,
@@ -424,7 +428,7 @@ struct QueuedShard {
 }
 
 /// The farm: N independent clusters plus their shard FIFOs. Batch mode
-/// ([`run_batch`](ClusterFarm::run_batch)) executes a pre-placed wave;
+/// ([`run_batch`](ClusterFarm::run_batch)) executes a pre-placed batch;
 /// continuous mode ([`admit`](ClusterFarm::admit) /
 /// [`step`](ClusterFarm::step) / [`drain`](ClusterFarm::drain)) feeds
 /// jobs into the *running* farm and retires shards one observable
@@ -563,7 +567,7 @@ impl ClusterFarm {
     /// external-memory slots instead of each owning an ideal pipe —
     /// the farm's clusters stay independent simulations (grants are a
     /// pure function of the cycle), so both drive modes and the
-    /// `parallel` feature keep working unchanged.
+    /// worker pool keep working unchanged.
     ///
     /// # Panics
     ///
@@ -1285,10 +1289,10 @@ impl ClusterFarm {
         self.clock.iter().copied().max().unwrap_or(0)
     }
 
-    /// Serial drive: clusters are fully independent simulations, so
-    /// each runs its whole shard FIFO in turn; readbacks scatter
-    /// straight into the job outputs with no intermediate allocation.
-    #[cfg(not(feature = "parallel"))]
+    /// Serial drive of a batch (the oracle path): clusters are fully
+    /// independent simulations, so each runs its whole shard FIFO in
+    /// turn; readbacks scatter straight into the job outputs with no
+    /// intermediate allocation.
     fn drive(
         &mut self,
         queues: &mut [Vec<ShardTask>],
@@ -1301,71 +1305,6 @@ impl ClusterFarm {
                 let (perf, cycles) = run_shard(cluster, &mut shard.plan, shard.wiring);
                 read_shard(cluster, &shard.plan, &mut outputs[shard.job_idx]);
                 recs.push((shard.job_idx, perf, cycles));
-            }
-            records.push(recs);
-        }
-        records
-    }
-
-    /// Thread-parallel drive: one OS thread per cluster. Clusters
-    /// share no state, so this is observably identical to the serial
-    /// drive; each thread gathers its readbacks locally and the main
-    /// thread scatters them afterwards.
-    #[cfg(feature = "parallel")]
-    fn drive(
-        &mut self,
-        queues: &mut [Vec<ShardTask>],
-        outputs: &mut [Vec<f32>],
-    ) -> Vec<Vec<ShardRecord>> {
-        let per_cluster: Vec<(Vec<ShardRecord>, Vec<Vec<f32>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clusters
-                .iter_mut()
-                .zip(queues.iter_mut())
-                .map(|(cluster, queue)| {
-                    scope.spawn(move || {
-                        let mut recs = Vec::with_capacity(queue.len());
-                        let mut reads = Vec::with_capacity(queue.len());
-                        for shard in queue.iter_mut() {
-                            let (perf, cycles) = run_shard(cluster, &mut shard.plan, shard.wiring);
-                            let total: usize =
-                                shard.plan.readbacks.iter().map(|r| r.len as usize).sum();
-                            let mut buf = vec![0f32; total];
-                            let mut off = 0usize;
-                            for rb in &shard.plan.readbacks {
-                                let seg = &mut buf[off..off + rb.len as usize];
-                                match rb.source {
-                                    ReadbackSource::Ext(addr) => {
-                                        cluster.ext_mem().read_f32_into(addr, seg);
-                                    }
-                                    ReadbackSource::Tcdm(addr) => {
-                                        cluster.read_tcdm_into(addr, seg);
-                                    }
-                                }
-                                off += rb.len as usize;
-                            }
-                            recs.push((shard.job_idx, perf, cycles));
-                            reads.push(buf);
-                        }
-                        (recs, reads)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cluster thread panicked"))
-                .collect()
-        });
-        let mut records = Vec::with_capacity(per_cluster.len());
-        for (queue, (recs, reads)) in queues.iter().zip(per_cluster) {
-            for (shard, buf) in queue.iter().zip(&reads) {
-                let mut off = 0usize;
-                let out = &mut outputs[shard.job_idx];
-                for rb in &shard.plan.readbacks {
-                    out[rb.dst..rb.dst + rb.len as usize]
-                        .copy_from_slice(&buf[off..off + rb.len as usize]);
-                    off += rb.len as usize;
-                }
             }
             records.push(recs);
         }

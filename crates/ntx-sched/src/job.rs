@@ -156,7 +156,7 @@ pub struct JobOpts {
     /// analytical model).
     pub backend: BackendKind,
     /// Serving priority; higher runs earlier. The [`JobQueue`] itself
-    /// stays FIFO — priorities order waves in the
+    /// stays FIFO — priorities order each admission group in the
     /// [`Server`](crate::Server) front-end.
     pub priority: u8,
     /// Optional wall-clock completion deadline, measured from
@@ -254,7 +254,7 @@ pub struct Job {
     /// it at shutdown with
     /// [`SchedError::DependencyDropped`](crate::SchedError). A FIFO
     /// [`JobQueue`] honors edges by construction when predecessors are
-    /// enqueued first; wave admission ignores them.
+    /// enqueued first.
     pub deps: Vec<u64>,
 }
 
@@ -348,12 +348,8 @@ impl Job {
                         dims.m, dims.k, dims.n
                     ));
                 }
-                if a.len() as u32 != dims.m * dims.k {
-                    return shape_err(format!("gemm: |A| = {} != m*k", a.len()));
-                }
-                if b.len() as u32 != dims.k * dims.n {
-                    return shape_err(format!("gemm: |B| = {} != k*n", b.len()));
-                }
+                check_len("gemm: |A| vs m*k", a.len(), &[dims.m, dims.k])?;
+                check_len("gemm: |B| vs k*n", b.len(), &[dims.k, dims.n])?;
             }
             JobKind::Conv2d {
                 kernel,
@@ -369,15 +365,16 @@ impl Job {
                         kernel.height, kernel.width, kernel.k, kernel.k
                     ));
                 }
-                if image.len() as u32 != kernel.height * kernel.width {
-                    return shape_err(format!("conv2d: |image| = {} != h*w", image.len()));
-                }
-                if weights.len() as u32 != kernel.k * kernel.k * kernel.filters {
-                    return shape_err(format!(
-                        "conv2d: |weights| = {} != k*k*filters",
-                        weights.len()
-                    ));
-                }
+                check_len(
+                    "conv2d: |image| vs h*w",
+                    image.len(),
+                    &[kernel.height, kernel.width],
+                )?;
+                check_len(
+                    "conv2d: |weights| vs k*k*filters",
+                    weights.len(),
+                    &[kernel.k, kernel.k, kernel.filters],
+                )?;
             }
             JobKind::Stencil2d {
                 height,
@@ -389,9 +386,7 @@ impl Job {
                         "stencil2d: {height}x{width} grid smaller than the 3x3 star"
                     ));
                 }
-                if grid.len() as u32 != height * width {
-                    return shape_err(format!("stencil2d: |grid| = {} != h*w", grid.len()));
-                }
+                check_len("stencil2d: |grid| vs h*w", grid.len(), &[*height, *width])?;
             }
             JobKind::Raw(raw) => {
                 if raw.result_len == 0 {
@@ -400,6 +395,22 @@ impl Job {
             }
         }
         Ok(())
+    }
+}
+
+/// Checks a buffer length against the product of its dimensions,
+/// computed in `usize` so that hostile dimensions fail as a
+/// [`SchedError::Shape`] instead of overflowing.
+fn check_len(what: &str, len: usize, dims: &[u32]) -> Result<(), SchedError> {
+    match dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d as usize))
+    {
+        Some(n) if n == len => Ok(()),
+        Some(n) => Err(SchedError::Shape(format!("{what}: {len} != {n}"))),
+        None => Err(SchedError::Shape(format!(
+            "{what}: dimensions {dims:?} overflow"
+        ))),
     }
 }
 
@@ -419,26 +430,8 @@ impl JobQueue {
         Self::default()
     }
 
-    /// Enqueues a job with default options; returns its id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the fluent builder: `queue.job(label).kind(kind).submit()`"
-    )]
-    pub fn push(&mut self, label: impl Into<String>, kind: JobKind) -> u64 {
-        self.enqueue(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Enqueues a job with explicit serving options; returns its id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the fluent builder: `queue.job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn push_with(&mut self, label: impl Into<String>, kind: JobKind, opts: JobOpts) -> u64 {
-        self.enqueue(label.into(), kind, opts, Vec::new())
-    }
-
-    /// The one enqueue primitive behind both the fluent
-    /// [`JobQueue::job`] builder and the deprecated `push*` shims.
+    /// The enqueue primitive behind the fluent [`JobQueue::job`]
+    /// builder.
     pub(crate) fn enqueue(
         &mut self,
         label: String,
@@ -455,16 +448,6 @@ impl JobQueue {
             opts,
             deps,
         });
-        id
-    }
-
-    /// Enqueues an already-identified job, keeping its id (the server
-    /// front-end routes completions by submission id). Later default
-    /// [`JobQueue::push`] calls continue above the highest id seen.
-    pub fn push_job(&mut self, job: Job) -> u64 {
-        let id = job.id;
-        self.next_id = self.next_id.max(id + 1);
-        self.jobs.push_back(job);
         id
     }
 
@@ -505,33 +488,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().label, "a");
         assert_eq!(q.pop().unwrap().label, "b");
         assert!(q.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_push_shims_still_enqueue() {
-        let mut q = JobQueue::new();
-        let a = q.push(
-            "a",
-            JobKind::Axpy {
-                a: 1.0,
-                x: vec![1.0],
-                y: vec![2.0],
-            },
-        );
-        let b = q.push_with(
-            "b",
-            JobKind::Axpy {
-                a: 2.0,
-                x: vec![1.0],
-                y: vec![2.0],
-            },
-            JobOpts::estimate(),
-        );
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(q.pop().unwrap().label, "a");
-        let b = q.pop().unwrap();
-        assert_eq!(b.opts.backend, BackendKind::Estimate);
     }
 
     #[test]

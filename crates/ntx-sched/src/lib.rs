@@ -40,15 +40,12 @@
 //!   double-buffered DMA schedule;
 //! * **Serving** — the [`Server`] runs the farm as a persistent
 //!   service: clients hold cloneable [`Session`]s and submit through
-//!   the fluent [`JobBuilder`]; with continuous admission (the
-//!   default) every job is validated, planned and placed onto the
-//!   least-loaded clusters the moment it arrives — sized to graded
-//!   cluster subsets by a measured-duration [`DurationTable`] (EWMA of
-//!   actual cluster-cycles, seeded by roofline estimates) — and its
-//!   completion is delivered the shard event its last shard retires.
-//!   Wave batching is kept behind
-//!   [`AdmissionMode::Wave`](server::AdmissionMode) as the
-//!   differential baseline, and the barriered farm remains the
+//!   the fluent [`JobBuilder`]; every job is validated, planned and
+//!   placed onto the least-loaded clusters the moment it arrives —
+//!   sized to graded cluster subsets by a measured-duration
+//!   [`DurationTable`] (EWMA of actual cluster-cycles, seeded by
+//!   roofline estimates) — and its completion is delivered the shard
+//!   event its last shard retires. The barriered farm remains the
 //!   bit-exact oracle;
 //! * **Reports** — [`ScaleOutReport`] aggregates cycles, stalls, DMA
 //!   occupancy and — through `ntx-model` — energy and Gflop/s/W;
@@ -117,7 +114,7 @@ pub use ntx_mem::{HmcConfig, HmcMesh, HmcSubsystem, MemoryModel, MeshConfig};
 pub use ntx_sim::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use pipeline::TilePipeline;
 pub use report::{ScaleOutReport, ServingReport};
-pub use server::{AdmissionMode, Completion, JobHandle, Server, ServerConfig, ServerHandle};
+pub use server::{Completion, JobHandle, Server, ServerConfig};
 pub use session::{JobBuilder, JobSink, ReadyJob, Session};
 pub use tiler::{ClusterPlan, Readback, ReadbackSource, Tiler};
 

@@ -5,10 +5,8 @@
 //! wrapper and this crate's multi-cluster executor share one copy of
 //! the §II-E schedule (watermark rule, prefetch ordering, ping-pong
 //! safety). The executor drives one pipeline per cluster step by step,
-//! which lets N independent cluster simulations interleave
-//! round-robin on one thread (deterministically) or drain on one OS
-//! thread each behind the `parallel` feature, with bit-identical
-//! results either way.
+//! so N independent cluster simulations run deterministically, with
+//! bit-identical results whichever thread steps each cluster.
 
 pub use ntx_kernels::schedule::TilePipeline;
 

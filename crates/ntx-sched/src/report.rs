@@ -143,8 +143,8 @@ pub struct ServingReport {
     pub native: u64,
     /// Jobs rejected at admission.
     pub failed: u64,
-    /// Scheduling rounds executed: waves in wave mode, non-empty
-    /// admission groups in continuous mode.
+    /// Non-empty admission groups: batches of submissions the worker
+    /// drained from its channel and admitted together.
     pub waves: u64,
     /// Jobs whose wall-clock deadline was missed.
     pub deadline_misses: u64,
@@ -154,8 +154,8 @@ pub struct ServingReport {
     pub total_latency: Duration,
     /// Largest per-job wall-clock latency.
     pub max_latency: Duration,
-    /// Simulated makespan cycles of the run: summed wave windows in
-    /// wave mode, the latest cluster clock in continuous mode.
+    /// Simulated makespan cycles of the run: the latest cluster
+    /// clock of the farm.
     pub makespan_cycles: u64,
     /// Cluster-cycles actually spent executing shards.
     pub busy_cluster_cycles: u64,

@@ -1,24 +1,16 @@
 //! The always-on job-serving front-end.
 //!
-//! [`Server`] owns a worker thread driving the scale-out backends; any
-//! number of client threads submit jobs through cloned [`Session`]s
-//! (see [`Server::session`]) over an mpsc channel. Two admission
-//! modes, selected by [`ServerConfig::admission`]:
-//!
-//! * [`AdmissionMode::Continuous`] (the **default**) — the farm runs
-//!   as a persistent service. Every submission is validated, planned
-//!   and placed onto the least-loaded clusters the moment it arrives
-//!   (graded cluster subsets sized by the measured-duration
-//!   [`DurationTable`]); the worker interleaves admission with
-//!   per-shard farm events ([`ClusterFarm::step`]) and delivers each
-//!   [`Completion`] the event its last shard retires. A late-arriving
-//!   small job lands on whichever cluster frees up first instead of
-//!   waiting for an entire wave to retire.
-//! * [`AdmissionMode::Wave`] — the PR 3 batching reference: pending
-//!   submissions are gathered into priority-ordered waves and each
-//!   wave runs to completion before its completions are delivered.
-//!   Kept as the differential baseline the benchmarks compare
-//!   continuous admission against.
+//! [`Server`] owns a worker thread (`ntx-serve`) driving the scale-out
+//! backends; any number of client threads submit jobs through cloned
+//! [`Session`]s (see [`Server::session`]) over an mpsc channel. The
+//! farm runs as a persistent service: every submission is validated,
+//! planned and placed onto the least-loaded clusters the moment it
+//! arrives (graded cluster subsets sized by the measured-duration
+//! [`DurationTable`]); the worker interleaves admission with per-shard
+//! farm events ([`ClusterFarm::step`]) and delivers each [`Completion`]
+//! the event its last shard retires. A late-arriving small job lands on
+//! whichever cluster frees up first instead of waiting for unrelated
+//! work to retire.
 //!
 //! Per-job wall-clock deadlines are checked at completion and reported
 //! both per job and in the final [`ServingReport`].
@@ -36,38 +28,21 @@ use crate::backend::{
     AdmittedJob, AnalyticalBackend, Backend, BackendKind, DurationTable, NativeHost,
     SimulatorBackend,
 };
-use crate::executor::{JobResult, ScaleOutConfig, ScaleOutExecutor};
-use crate::job::{Job, JobKind, JobOpts, JobQueue};
+use crate::executor::{JobResult, ScaleOutConfig};
+use crate::job::{Job, JobKind, JobOpts};
 use crate::report::ServingReport;
 use crate::session::Session;
 use crate::SchedError;
 
-/// How the worker admits submissions into the farm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Feed each job into the running farm the moment it arrives and
-    /// deliver its completion the event its last shard retires (the
-    /// default).
-    #[default]
-    Continuous,
-    /// Gather pending submissions into priority-ordered waves and run
-    /// each wave to completion before delivering (the PR 3 reference
-    /// behaviour). Wave admission does **not** honor dependency edges
-    /// ([`ReadyJob::after`](crate::session::ReadyJob::after)) — waves
-    /// order by priority alone; DAG clients need continuous admission.
-    Wave,
-}
+/// Most submissions the worker drains from the channel into one
+/// admission group before it goes back to retiring shards.
+const MAX_GROUP: usize = 64;
 
 /// Configuration of the serving front-end.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
     /// The scale-out system the worker runs.
     pub scale_out: ScaleOutConfig,
-    /// Maximum submissions gathered into one scheduling round (a wave
-    /// in wave mode; an admission group in continuous mode).
-    pub max_wave: usize,
-    /// Admission mode (continuous by default).
-    pub admission: AdmissionMode,
     /// Bound on submissions in flight (accepted but not yet
     /// completed). When full, `submit` returns
     /// [`SchedError::Backpressure`] immediately and
@@ -75,17 +50,6 @@ pub struct ServerConfig {
     /// for a slot. `0` (the default) means unbounded — the
     /// pre-overload-control behaviour.
     pub queue_limit: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            scale_out: ScaleOutConfig::default(),
-            max_wave: 64,
-            admission: AdmissionMode::default(),
-            queue_limit: 0,
-        }
-    }
 }
 
 impl ServerConfig {
@@ -96,13 +60,6 @@ impl ServerConfig {
             scale_out: ScaleOutConfig::with_clusters(clusters),
             ..Self::default()
         }
-    }
-
-    /// Selects wave-batched admission (the differential baseline).
-    #[must_use]
-    pub fn wave_batched(mut self) -> Self {
-        self.admission = AdmissionMode::Wave;
-        self
     }
 
     /// Serves against one shared HMC instead of ideal private
@@ -314,77 +271,16 @@ impl JobHandle {
     }
 }
 
-/// Cloneable submission endpoint; safe to share across client threads.
-/// Prefer the fluent [`Session`] view ([`ServerHandle::session`]) —
-/// the `submit*` methods here are deprecated shims.
+/// The channel endpoint behind every [`Session`]: submission ids, the
+/// admission gauge, and the sender into the worker.
 #[derive(Debug, Clone)]
-pub struct ServerHandle {
+pub(crate) struct ServerHandle {
     tx: Sender<Msg>,
     seq: Arc<AtomicU64>,
     gauge: Arc<AdmissionGauge>,
 }
 
 impl ServerHandle {
-    /// A fluent [`Session`] over this handle.
-    #[must_use]
-    pub fn session(&self) -> Session {
-        Session {
-            handle: self.clone(),
-        }
-    }
-
-    /// Submits a job with default options; returns its handle.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `handle.session().job(label).kind(kind).submit()`"
-    )]
-    pub fn submit(&self, label: impl Into<String>, kind: JobKind) -> Result<JobHandle, SchedError> {
-        self.send_handle(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Submits a job with explicit options; returns its handle.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `handle.session().job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn submit_with(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-    ) -> Result<JobHandle, SchedError> {
-        self.send_handle(label.into(), kind, opts, Vec::new())
-    }
-
-    /// Submits a job whose completion is delivered to `callback` on the
-    /// worker thread instead of a handle; returns the submission id.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the server is no longer running.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: \
-                `handle.session().job(label).kind(kind).submit_callback(cb)`"
-    )]
-    pub fn submit_callback(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-        callback: impl FnOnce(Completion) + Send + 'static,
-    ) -> Result<u64, SchedError> {
-        self.send_callback(label.into(), kind, opts, Vec::new(), callback)
-    }
-
     /// Handle-reply submission primitive (the [`Session`] sink).
     pub(crate) fn send_handle(
         &self,
@@ -482,16 +378,16 @@ impl Server {
         let (tx, rx) = channel();
         let gauge = Arc::new(AdmissionGauge::new(config.queue_limit));
         let worker_gauge = Arc::clone(&gauge);
-        let worker = std::thread::spawn(move || {
-            let report = match config.admission {
-                AdmissionMode::Continuous => continuous_loop(&rx, config, &worker_gauge),
-                AdmissionMode::Wave => wave_loop(&rx, config, &worker_gauge),
-            };
-            // Wake any submitter still blocked on a slot: the
-            // completion that would free one is never coming.
-            worker_gauge.close();
-            report
-        });
+        let worker = std::thread::Builder::new()
+            .name("ntx-serve".into())
+            .spawn(move || {
+                let report = continuous_loop(&rx, config, &worker_gauge);
+                // Wake any submitter still blocked on a slot: the
+                // completion that would free one is never coming.
+                worker_gauge.close();
+                report
+            })
+            .expect("spawn the serving worker thread");
         Self {
             handle: ServerHandle {
                 tx,
@@ -502,50 +398,13 @@ impl Server {
         }
     }
 
-    /// A fluent, cloneable [`Session`] for submitting jobs — the
-    /// primary client API.
+    /// A fluent, cloneable [`Session`] for submitting jobs — the one
+    /// client endpoint; clone it into as many client threads as needed.
     #[must_use]
     pub fn session(&self) -> Session {
-        self.handle.session()
-    }
-
-    /// A cloneable submission endpoint for client threads.
-    #[must_use]
-    pub fn handle(&self) -> ServerHandle {
-        self.handle.clone()
-    }
-
-    /// Submits from the owning thread with default options.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the worker has exited.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `server.session().job(label).kind(kind).submit()`"
-    )]
-    pub fn submit(&self, label: impl Into<String>, kind: JobKind) -> Result<JobHandle, SchedError> {
-        self.handle
-            .send_handle(label.into(), kind, JobOpts::default(), Vec::new())
-    }
-
-    /// Submits from the owning thread with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shutdown`] when the worker has exited.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the session builder: `server.session().job(label).kind(kind).priority(p).submit()`"
-    )]
-    pub fn submit_with(
-        &self,
-        label: impl Into<String>,
-        kind: JobKind,
-        opts: JobOpts,
-    ) -> Result<JobHandle, SchedError> {
-        self.handle
-            .send_handle(label.into(), kind, opts, Vec::new())
+        Session {
+            handle: self.handle.clone(),
+        }
     }
 
     /// Stops the worker after every submission enqueued before this
@@ -790,8 +649,7 @@ impl ContinuousState {
 /// are shed at admission when the placement estimate proves it
 /// unmeetable ([`SchedError::DeadlineUnmeetable`]), and the farm's
 /// fault counters (injected faults, retried shards) are folded into
-/// the final report. Wave mode keeps the PR 3 semantics and skips
-/// both.
+/// the final report.
 ///
 /// Dependency edges are resolved here, on the merge side: a submission
 /// carrying unfinished predecessor ids parks in a waiting list and is
@@ -837,7 +695,7 @@ fn continuous_loop(
                     Ok(Msg::Shutdown) | Err(_) => open = false,
                 }
             }
-            while open && group.len() < config.max_wave.max(1) {
+            while open && group.len() < MAX_GROUP {
                 match rx.try_recv() {
                     Ok(Msg::Submit(s)) => group.push(*s),
                     Ok(Msg::Shutdown) => open = false,
@@ -953,148 +811,6 @@ fn continuous_loop(
     stats
 }
 
-/// The wave-batched worker (the PR 3 baseline, kept behind
-/// [`AdmissionMode::Wave`] as the differential reference). Honors the
-/// bounded admission queue but not deadline shedding or fault plans.
-fn wave_loop(rx: &Receiver<Msg>, config: ServerConfig, gauge: &AdmissionGauge) -> ServingReport {
-    let mut exec = ScaleOutExecutor::new(config.scale_out);
-    let mut stats = ServingReport::new(config.scale_out.clusters);
-    let t0 = Instant::now();
-    let mut done = false;
-    while !done {
-        let first = match rx.recv() {
-            Ok(Msg::Submit(s)) => *s,
-            Ok(Msg::Shutdown) | Err(_) => break,
-        };
-        // Gather a wave: everything already queued, up to the cap.
-        let mut wave = vec![first];
-        while wave.len() < config.max_wave.max(1) {
-            match rx.try_recv() {
-                Ok(Msg::Submit(s)) => wave.push(*s),
-                Ok(Msg::Shutdown) => {
-                    done = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        // Priority order; submission order breaks ties.
-        wave.sort_by_key(|s| (std::cmp::Reverse(s.opts.priority), s.id));
-        stats.waves += 1;
-
-        let mut queue = JobQueue::new();
-        let mut pending: Vec<(u64, Pending)> = Vec::with_capacity(wave.len());
-        for s in wave {
-            // Deps are recorded but not honored in wave mode (see
-            // `AdmissionMode::Wave`): waves order by priority alone.
-            let job = Job {
-                id: s.id,
-                label: s.label,
-                kind: s.kind,
-                opts: s.opts,
-                deps: s.deps,
-            };
-            let p = Pending {
-                submitted: s.submitted,
-                deadline: s.opts.deadline,
-                reply: s.reply,
-            };
-            // Reject malformed submissions before the wave runs:
-            // admitting them through run_queue would re-plan the whole
-            // remaining wave once per bad job.
-            if let Err(e) = job.validate() {
-                deliver(
-                    &mut stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    job.id,
-                    Err(e),
-                );
-                continue;
-            }
-            queue.push_job(job);
-            pending.push((s.id, p));
-        }
-        // Run the wave; a job rejected at admission (e.g. no feasible
-        // sharding) fails alone — its completion says why — and the
-        // rest of the wave is retried without it.
-        loop {
-            if queue.is_empty() {
-                break;
-            }
-            match exec.run_queue(&mut queue) {
-                Ok(batch) => {
-                    for r in batch.results {
-                        if let Some(p) = take(&mut pending, r.job_id) {
-                            deliver(
-                                &mut stats,
-                                gauge,
-                                p.submitted,
-                                p.deadline,
-                                p.reply,
-                                r.job_id,
-                                Ok(r),
-                            );
-                        }
-                    }
-                    stats.makespan_cycles += batch.report.makespan_cycles;
-                    for p in &batch.report.per_cluster {
-                        stats.busy_cluster_cycles += p.cycles;
-                        stats.ext_wait_cycles += p.ext_wait_cycles;
-                        stats.ext_remote_bytes += p.ext_remote_bytes;
-                        stats.ext_remote_wait_cycles += p.ext_remote_wait_cycles;
-                    }
-                    break;
-                }
-                Err(SchedError::Job { id, source, .. }) => {
-                    if let Some(p) = take(&mut pending, id) {
-                        deliver(
-                            &mut stats,
-                            gauge,
-                            p.submitted,
-                            p.deadline,
-                            p.reply,
-                            id,
-                            Err(*source),
-                        );
-                    }
-                    // run_queue leaves the queue intact on admission
-                    // failure; rebuild it without the rejected job.
-                    let mut rest = JobQueue::new();
-                    while let Some(job) = queue.pop() {
-                        if job.id != id {
-                            rest.push_job(job);
-                        }
-                    }
-                    queue = rest;
-                }
-                Err(e) => {
-                    // Executor-level failure: fail the remaining wave.
-                    while let Some(job) = queue.pop() {
-                        if let Some(p) = take(&mut pending, job.id) {
-                            deliver(
-                                &mut stats,
-                                gauge,
-                                p.submitted,
-                                p.deadline,
-                                p.reply,
-                                job.id,
-                                Err(e.clone()),
-                            );
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    stats.backpressure_rejected = gauge.rejected.load(Ordering::Relaxed);
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,8 +833,9 @@ mod tests {
         }
     }
 
-    fn serves_multiple_clients(config: ServerConfig) {
-        let server = Server::start(config);
+    #[test]
+    fn serves_multiple_clients_continuously_and_reports() {
+        let server = Server::start(ServerConfig::with_clusters(2));
         let mut handles = Vec::new();
         let mut threads = Vec::new();
         for t in 0..3u32 {
@@ -1147,16 +864,6 @@ mod tests {
         assert!(report.jobs_per_second() > 0.0);
         assert!(report.makespan_cycles > 0);
         assert!(report.occupancy() > 0.0);
-    }
-
-    #[test]
-    fn serves_multiple_clients_continuously_and_reports() {
-        serves_multiple_clients(ServerConfig::with_clusters(2));
-    }
-
-    #[test]
-    fn serves_multiple_clients_in_waves_and_reports() {
-        serves_multiple_clients(ServerConfig::with_clusters(2).wave_batched());
     }
 
     #[test]
@@ -1241,29 +948,30 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_shims_still_serve() {
+    fn overflowing_gemm_dims_fail_alone_without_killing_the_worker() {
+        // 65536 * 65536 overflows u32: the shape check must reject the
+        // job explicitly, and the worker must keep serving.
         let server = Server::start(ServerConfig::with_clusters(1));
-        let h = server.submit("direct", axpy(64, 3)).unwrap();
-        let hw = server
-            .submit_with(
-                "with-opts",
-                axpy(64, 5),
-                JobOpts::default().with_priority(1),
-            )
+        let session = server.session();
+        let huge = ntx_kernels::blas::GemmKernel {
+            m: 65_536,
+            k: 65_536,
+            n: 1,
+        };
+        let bad = session
+            .job("overflow")
+            .gemm(huge, Vec::new(), vec![0.0; 65_536])
+            .submit()
             .unwrap();
-        let (tx, rx) = channel();
-        server
-            .handle()
-            .submit_callback("cb", axpy(64, 7), JobOpts::default(), move |c| {
-                let _ = tx.send(c.result.is_ok());
-            })
-            .unwrap();
-        assert!(h.wait().unwrap().result.is_ok());
-        assert!(hw.wait().unwrap().result.is_ok());
-        assert!(rx.recv().unwrap());
+        assert!(matches!(
+            bad.wait().unwrap().result,
+            Err(SchedError::Shape(_))
+        ));
+        let good = session.job("after").kind(axpy(64, 3)).submit().unwrap();
+        assert!(good.wait().unwrap().result.is_ok());
         let report = server.shutdown();
-        assert_eq!(report.jobs, 3);
+        assert_eq!(report.jobs, 2);
+        assert_eq!(report.failed, 1);
     }
 
     #[test]

@@ -255,8 +255,8 @@ impl<S: JobSink> ReadyJob<S> {
     /// accumulate; the job waits for *all* recorded predecessors.
     /// Predecessors that never complete before shutdown fail this job
     /// with [`SchedError::DependencyDropped`]. Edges are honored by
-    /// continuous admission and by FIFO [`JobQueue`] execution (when
-    /// predecessors are enqueued first); wave admission ignores them.
+    /// the server and by FIFO [`JobQueue`] execution (when
+    /// predecessors are enqueued first).
     #[must_use]
     pub fn after(mut self, handle: &crate::JobHandle) -> Self {
         self.deps.push(handle.id);

@@ -5,7 +5,7 @@
 //! of GEMM / convolution / AXPY / stencil jobs (plus an instant
 //! analytical estimate) with the fluent `JobBuilder`; the worker
 //! admits each job into the *running* four-cluster farm the moment it
-//! arrives (continuous admission — no wave batching), places it on the
+//! arrives (continuous admission), places it on the
 //! least-loaded clusters using measured-duration feedback, and
 //! delivers completions through handles and callbacks as each job's
 //! last shard retires.
