@@ -2475,6 +2475,39 @@ pub fn cpu_report() -> CpuBenchReport {
                 y: test_data(4096, 0xc8),
             },
         ),
+        // The capped AlexNet op shape: every output takes exact GEMM's
+        // i128 panel path.
+        (
+            "gemm 64x64x64".into(),
+            JobKind::Gemm {
+                dims: GemmKernel {
+                    m: 64,
+                    k: 64,
+                    n: 64,
+                },
+                a: test_data(64 * 64, 0xc9),
+                b: test_data(64 * 64, 0xca),
+            },
+        ),
+        // Rows of A alternate between 2^50 and 2^-50 scale, a span past
+        // the i128 window: every output falls back to the Kulisch
+        // accumulator.
+        (
+            "gemm wide-span".into(),
+            JobKind::Gemm {
+                dims: GemmKernel {
+                    m: 32,
+                    k: 64,
+                    n: 32,
+                },
+                a: test_data(32 * 64, 0xcb)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, x)| x * 2f32.powi(if i % 2 == 0 { 50 } else { -50 }))
+                    .collect(),
+                b: test_data(64 * 32, 0xcc),
+            },
+        ),
     ];
     let mut points = Vec::with_capacity(workloads.len());
     for (label, kind) in workloads {

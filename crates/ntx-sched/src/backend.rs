@@ -18,8 +18,8 @@
 //! * [`NativeHost`] — the wire-speed path: jobs execute on the host
 //!   CPU through [`ntx_cpu::NativeBackend`], either with the fast
 //!   multi-accumulator reduction ([`BackendKind::NativeFast`]) or
-//!   bit-identical to the simulator through the wide Kulisch
-//!   accumulator ([`BackendKind::NativeExact`]). Admission estimates
+//!   bit-identical to the simulator with one rounding of each exact
+//!   sum ([`BackendKind::NativeExact`]). Admission estimates
 //!   come from the same roofline, calibrated by a private
 //!   [`DurationTable`] EWMA of measured wall-clock durations.
 
@@ -49,9 +49,10 @@ pub enum BackendKind {
     /// error (measurable via `ntx_fpu::rmse`), wall-clock timing in
     /// place of simulated cycles.
     NativeFast,
-    /// Native host-CPU execution through the wide Kulisch
-    /// accumulator: real outputs **bit-identical to the simulator**,
-    /// still far faster than cycle-accurate simulation.
+    /// Native host-CPU execution in `ntx_cpu`'s exact mode (one
+    /// rounding of each exact sum, as the wide Kulisch accumulator
+    /// does): real outputs **bit-identical to the simulator**, still
+    /// far faster than cycle-accurate simulation.
     NativeExact,
 }
 

@@ -279,16 +279,34 @@ impl Job {
     }
 
     /// Number of `f32` elements in this job's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions overflow `usize` or leave no output
+    /// shape; [`validate`](Self::validate) rejects such jobs.
     #[must_use]
     pub fn output_len(&self) -> usize {
+        self.checked_output_len()
+            .expect("validate rejects jobs whose output length overflows")
+    }
+
+    /// [`output_len`](Self::output_len) in checked `usize` arithmetic:
+    /// `None` when a product overflows or a conv kernel or stencil star
+    /// does not fit its grid.
+    fn checked_output_len(&self) -> Option<usize> {
+        let valid = |extent: u32, window: u32| extent.checked_sub(window)?.checked_add(1);
         match &self.kind {
-            JobKind::Axpy { y, .. } => y.len(),
-            JobKind::Gemm { dims, .. } => (dims.m * dims.n) as usize,
-            JobKind::Conv2d { kernel, .. } => {
-                (kernel.out_height() * kernel.out_width() * kernel.filters) as usize
+            JobKind::Axpy { y, .. } => Some(y.len()),
+            JobKind::Gemm { dims, .. } => product(&[dims.m, dims.n]),
+            JobKind::Conv2d { kernel, .. } => product(&[
+                valid(kernel.height, kernel.k)?,
+                valid(kernel.width, kernel.k)?,
+                kernel.filters,
+            ]),
+            JobKind::Stencil2d { height, width, .. } => {
+                product(&[valid(*height, 3)?, valid(*width, 3)?])
             }
-            JobKind::Stencil2d { height, width, .. } => ((height - 2) * (width - 2)) as usize,
-            JobKind::Raw(raw) => raw.result_len as usize,
+            JobKind::Raw(raw) => Some(raw.result_len as usize),
         }
     }
 
@@ -394,18 +412,29 @@ impl Job {
                 }
             }
         }
-        Ok(())
+        // The tiler indexes outputs with u32 lengths.
+        match self.checked_output_len() {
+            Some(len) if u32::try_from(len).is_ok() => Ok(()),
+            Some(len) => shape_err(format!(
+                "output of {len} elements exceeds the {} the tiler addresses",
+                u32::MAX
+            )),
+            None => shape_err("output length overflows".into()),
+        }
     }
+}
+
+/// The product of `dims` in `usize`, or `None` when it overflows.
+fn product(dims: &[u32]) -> Option<usize> {
+    dims.iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d as usize))
 }
 
 /// Checks a buffer length against the product of its dimensions,
 /// computed in `usize` so that hostile dimensions fail as a
 /// [`SchedError::Shape`] instead of overflowing.
 fn check_len(what: &str, len: usize, dims: &[u32]) -> Result<(), SchedError> {
-    match dims
-        .iter()
-        .try_fold(1usize, |n, &d| n.checked_mul(d as usize))
-    {
+    match product(dims) {
         Some(n) if n == len => Ok(()),
         Some(n) => Err(SchedError::Shape(format!("{what}: {len} != {n}"))),
         None => Err(SchedError::Shape(format!(

@@ -975,6 +975,35 @@ mod tests {
     }
 
     #[test]
+    fn gemm_output_past_u32_elements_fails_alone_on_every_backend() {
+        // m * n = 2^33 output elements from 768 KiB of operands: the
+        // operand lengths check out, so only the output-length check
+        // keeps the job from a 32 GiB output buffer.
+        let server = Server::start(ServerConfig::with_clusters(1));
+        let session = server.session();
+        let (m, n) = (1u32 << 17, 1u32 << 16);
+        let dims = ntx_kernels::blas::GemmKernel { m, k: 1, n };
+        for backend in [BackendKind::NativeExact, BackendKind::Simulate] {
+            let bad = session
+                .job("huge output")
+                .gemm(dims, vec![1.0; m as usize], vec![1.0; n as usize])
+                .backend(backend)
+                .submit()
+                .unwrap();
+            let result = bad.wait().unwrap().result;
+            assert!(
+                matches!(result, Err(SchedError::Shape(_))),
+                "{backend:?}: {result:?}"
+            );
+        }
+        let good = session.job("after").kind(axpy(64, 3)).submit().unwrap();
+        assert!(good.wait().unwrap().result.is_ok());
+        let report = server.shutdown();
+        assert_eq!(report.jobs, 3);
+        assert_eq!(report.failed, 2);
+    }
+
+    #[test]
     fn backpressure_rejects_when_queue_full() {
         // Two sizable jobs fill the two in-flight slots; the third
         // submission is rejected client-side with an explicit error

@@ -230,7 +230,7 @@ impl<S: JobSink> ReadyJob<S> {
     }
 
     /// Shorthand for [`backend`](Self::backend)`(BackendKind::NativeExact)`:
-    /// execute on the host CPU through the wide Kulisch accumulator,
+    /// execute on the host CPU with one rounding of each exact sum,
     /// bit-identical to the simulator.
     #[must_use]
     pub fn native_exact(self) -> Self {

@@ -89,6 +89,9 @@ pub struct Cluster {
     dma: DmaEngine,
     ext: ExtMemory,
     engines: Vec<NtxEngine>,
+    /// L2 backing store, empty until the first program load or L2
+    /// write: only RISC-V-driven clusters use L2, so farm clusters
+    /// never pay for its [`ClusterConfig::l2_bytes`].
     l2: Vec<u8>,
     cycle: u64,
     busy_cycles: u64,
@@ -159,7 +162,7 @@ impl Cluster {
                     e
                 })
                 .collect(),
-            l2: vec![0; config.l2_bytes as usize],
+            l2: Vec::new(),
             cycle: 0,
             busy_cycles: 0,
             offload_writes: 0,
@@ -744,10 +747,19 @@ impl Cluster {
     ///
     /// Panics if the image exceeds the L2 size.
     pub fn load_program(&mut self, offset: u32, words: &[u32]) {
+        let l2 = self.l2_mut();
         for (i, &w) in words.iter().enumerate() {
             let a = offset as usize + 4 * i;
-            self.l2[a..a + 4].copy_from_slice(&w.to_le_bytes());
+            l2[a..a + 4].copy_from_slice(&w.to_le_bytes());
         }
+    }
+
+    /// The L2 store, allocated (zeroed) on first use.
+    fn l2_mut(&mut self) -> &mut [u8] {
+        if self.l2.is_empty() {
+            self.l2 = vec![0; self.config.l2_bytes as usize];
+        }
+        &mut self.l2
     }
 
     /// Runs an interpreted RV32IMC core against this cluster until it
@@ -824,12 +836,15 @@ impl Bus for Cluster {
             }
             a if a >= map::L2_BASE => {
                 let off = (a - map::L2_BASE) as usize;
-                if off + size.bytes() as usize > self.l2.len() {
+                if off + size.bytes() as usize > self.config.l2_bytes as usize {
                     return Err(BusError::Unmapped { addr });
                 }
+                // An unallocated L2 reads as the zeros it would hold.
                 let mut v = 0u32;
-                for i in 0..size.bytes() as usize {
-                    v |= u32::from(self.l2[off + i]) << (8 * i);
+                if !self.l2.is_empty() {
+                    for i in 0..size.bytes() as usize {
+                        v |= u32::from(self.l2[off + i]) << (8 * i);
+                    }
                 }
                 Ok(v)
             }
@@ -903,11 +918,12 @@ impl Bus for Cluster {
             }
             a if a >= map::L2_BASE => {
                 let off = (a - map::L2_BASE) as usize;
-                if off + size.bytes() as usize > self.l2.len() {
+                if off + size.bytes() as usize > self.config.l2_bytes as usize {
                     return Err(BusError::Unmapped { addr });
                 }
+                let l2 = self.l2_mut();
                 for i in 0..size.bytes() as usize {
-                    self.l2[off + i] = (value >> (8 * i)) as u8;
+                    l2[off + i] = (value >> (8 * i)) as u8;
                 }
                 Ok(())
             }
@@ -1048,6 +1064,33 @@ mod tests {
             0xabcd_0123
         );
         assert!(cluster.read(0x4000_0000, AccessSize::Word).is_err());
+    }
+
+    #[test]
+    fn l2_is_allocated_on_first_write() {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        assert_eq!(
+            cluster.l2.capacity(),
+            0,
+            "a fresh cluster holds no L2 bytes"
+        );
+        let top = map::L2_BASE + cluster.config.l2_bytes - 4;
+        assert_eq!(cluster.read(top, AccessSize::Word).unwrap(), 0);
+        assert_eq!(cluster.l2.capacity(), 0, "a read allocates nothing");
+        cluster.write(top, AccessSize::Word, 0xdead_beef).unwrap();
+        assert_eq!(cluster.read(top, AccessSize::Word).unwrap(), 0xdead_beef);
+        assert_eq!(cluster.read(top + 1, AccessSize::Half).unwrap(), 0xadbe);
+        let end = top + 4;
+        for mut c in [Cluster::new(ClusterConfig::default()), cluster] {
+            assert!(matches!(
+                c.read(end, AccessSize::Word),
+                Err(BusError::Unmapped { .. })
+            ));
+            assert!(matches!(
+                c.write(end - 2, AccessSize::Word, 1),
+                Err(BusError::Unmapped { .. })
+            ));
+        }
     }
 
     #[test]
