@@ -1,8 +1,9 @@
 //! Gates the bench trajectory: compares every fresh `BENCH_*.json` in
 //! the working directory against its committed baseline in
 //! `bench/baseline/` and fails on a >15 % regression of any gated
-//! cycle-domain metric or a flipped bit-identity/determinism flag.
-//! Wall-clock numbers vary with the host and are never gated.
+//! cycle-domain metric, a >50 % growth of the `process` block's peak
+//! RSS or minor page faults, or a flipped bit-identity/determinism
+//! flag. Wall-clock numbers vary with the host and are never gated.
 //!
 //! Usage: `bench-diff [baseline_dir]` (default `bench/baseline`).
 //! Refresh workflow: rerun the report binaries, inspect the diff, then
@@ -29,8 +30,10 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "Bench trajectory vs {baseline_dir} (cycle-domain gate +{:.0}%, wall-clock informational)",
-        diff::TOLERANCE * 100.0
+        "Bench trajectory vs {baseline_dir} (cycle-domain gate +{:.0}%, host-memory gate +{:.0}%, \
+         wall-clock informational)",
+        diff::TOLERANCE * 100.0,
+        diff::PROCESS_TOLERANCE * 100.0
     );
     let mut failed = false;
     for name in entries {
@@ -45,12 +48,14 @@ fn main() {
                 continue;
             }
         };
-        match diff::compare(&baseline, &fresh, diff::TOLERANCE) {
+        match diff::compare(&baseline, &fresh) {
             Ok(out) => {
                 println!(
-                    "  {name:<22} {:>3} cycle metrics, {:>3} flags, worst drift {:+.1}%  {}",
+                    "  {name:<22} {:>3} cycle metrics, {:>3} flags, {} host metrics, \
+                     worst cycle drift {:+.1}%  {}",
                     out.gated_numbers,
                     out.gated_bools,
+                    out.gated_process,
                     out.worst_growth * 100.0,
                     if out.regressions.is_empty() {
                         "ok"

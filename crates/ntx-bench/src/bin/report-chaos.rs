@@ -15,10 +15,7 @@
 fn main() {
     let r = ntx_bench::chaos_report();
     print!("{}", ntx_bench::format::chaos(&r));
-    let json = ntx_bench::format::chaos_json(&r);
-    let path = "BENCH_chaos.json";
-    std::fs::write(path, &json).expect("write BENCH_chaos.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_chaos.json", ntx_bench::format::chaos_json(&r));
     if r.jobs_lost != 0 {
         eprintln!(
             "ERROR: {} jobs lost to the injected cluster kill (recovery must lose zero)",

@@ -6,10 +6,7 @@
 fn main() {
     let r = ntx_bench::cpu_report();
     print!("{}", ntx_bench::format::cpu(&r));
-    let json = ntx_bench::format::cpu_json(&r);
-    let path = "BENCH_cpu.json";
-    std::fs::write(path, &json).expect("write BENCH_cpu.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_cpu.json", ntx_bench::format::cpu_json(&r));
     // Exact mode is the whole point of the Kulisch path: its outputs
     // must match the simulator bit for bit on every workload,
     // unconditionally — no core-count carve-out, no tolerance.

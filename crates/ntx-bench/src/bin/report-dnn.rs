@@ -8,10 +8,7 @@
 fn main() {
     let r = ntx_bench::dnn_report();
     print!("{}", ntx_bench::format::dnn(&r));
-    let json = ntx_bench::format::dnn_json(&r);
-    let path = "BENCH_dnn.json";
-    std::fs::write(path, &json).expect("write BENCH_dnn.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_dnn.json", ntx_bench::format::dnn_json(&r));
     let mut failed = false;
     // Every run must complete the whole DAG, admit every op, and never
     // start an op before all its predecessors retired.

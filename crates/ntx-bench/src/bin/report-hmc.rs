@@ -8,10 +8,7 @@
 fn main() {
     let r = ntx_bench::hmc_report();
     print!("{}", ntx_bench::format::hmc(&r));
-    let json = ntx_bench::format::hmc_json(&r);
-    let path = "BENCH_hmc.json";
-    std::fs::write(path, &json).expect("write BENCH_hmc.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_hmc.json", ntx_bench::format::hmc_json(&r));
 
     if !r.bit_identical {
         eprintln!("ERROR: shared-HMC outputs diverged from the ideal-memory run");

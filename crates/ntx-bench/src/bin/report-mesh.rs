@@ -9,10 +9,7 @@
 fn main() {
     let r = ntx_bench::mesh_report();
     print!("{}", ntx_bench::format::mesh(&r));
-    let json = ntx_bench::format::mesh_json(&r);
-    let path = "BENCH_mesh.json";
-    std::fs::write(path, &json).expect("write BENCH_mesh.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_mesh.json", ntx_bench::format::mesh_json(&r));
 
     // Gate (c): topology and placement are timing policies — any
     // output bit depending on them is a simulation bug.

@@ -12,10 +12,7 @@
 fn main() {
     let r = ntx_bench::serving_report();
     print!("{}", ntx_bench::format::serving(&r));
-    let json = ntx_bench::format::serving_json(&r);
-    let path = "BENCH_serving.json";
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_serving.json", ntx_bench::format::serving_json(&r));
     if !r.bit_identical || !r.snapshots_identical {
         eprintln!("ERROR: pipelined farm diverged from the barriered or full-width reference");
         std::process::exit(1);

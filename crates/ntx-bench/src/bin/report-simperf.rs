@@ -27,10 +27,7 @@ fn main() {
     }
     let r = ntx_bench::simperf_report(reps);
     print!("{}", ntx_bench::format::simperf(&r));
-    let json = ntx_bench::format::simperf_json(&r);
-    let path = "BENCH_sim.json";
-    std::fs::write(path, &json).expect("write BENCH_sim.json");
-    println!("  wrote {path}");
+    ntx_bench::write_bench("BENCH_sim.json", ntx_bench::format::simperf_json(&r));
     for w in [&r.streaming, &r.single_ntx] {
         if !w.bit_identical || !w.counters_identical {
             eprintln!(

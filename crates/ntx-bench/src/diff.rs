@@ -9,11 +9,15 @@
 //! `path -> value` pairs and gates the **cycle-domain** metrics —
 //! numeric keys containing `cycles` (deterministic simulator outputs,
 //! machine-independent) and booleans the baseline holds `true`
-//! (bit-identity, DAG-order and determinism flags). A gated number may
-//! grow at most [`TOLERANCE`] (15 %) over its baseline; a gated boolean
-//! may never flip to `false`. Everything wall-clock — `*_wall_s`,
-//! `*_speedup`, latency seconds — varies with the host and stays
-//! informational.
+//! (bit-identity, DAG-order and determinism flags). A gated cycle
+//! number may grow at most [`TOLERANCE`] (15 %) over its baseline; a
+//! gated boolean may never flip to `false`. The host-memory numbers of
+//! the `process` block (peak RSS, minor page faults) vary a little with
+//! the host and thread count, so they may grow at most
+//! [`PROCESS_TOLERANCE`] (50 %): loose enough for that noise, tight
+//! enough that a store zero-filling gigabytes cannot land. Everything
+//! wall-clock — `*_wall_s`, `*_speedup`, latency seconds — varies with
+//! the host and stays informational.
 //!
 //! The parser is a minimal recursive-descent JSON reader (the repo
 //! builds offline; no serde) that reads everything the serializer
@@ -24,6 +28,10 @@ use std::fmt::{self, Write as _};
 /// Fractional growth a gated cycle-domain metric may show over its
 /// baseline before `bench-diff` fails (0.15 = +15 %).
 pub const TOLERANCE: f64 = 0.15;
+
+/// Fractional growth a `process.*` host-memory metric may show over its
+/// baseline before `bench-diff` fails (0.5 = +50 %).
+pub const PROCESS_TOLERANCE: f64 = 0.5;
 
 /// A JSON value: what the report binaries build and [`parse`] returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,11 +358,30 @@ pub fn flatten(v: &Json) -> Vec<(String, Json)> {
     out
 }
 
-/// Whether a flattened path is a gated cycle-domain number.
-fn is_cycle_metric(path: &str) -> bool {
-    path.rsplit('.')
-        .next()
-        .is_some_and(|k| k.contains("cycles"))
+/// The gates a flattened numeric path can fall under.
+#[derive(Clone, Copy, PartialEq)]
+enum NumberGate {
+    /// A key containing `cycles`: [`TOLERANCE`].
+    Cycles,
+    /// A member of the `process` block: [`PROCESS_TOLERANCE`].
+    Process,
+}
+
+impl NumberGate {
+    /// The gate of `path`, or `None` for an informational number.
+    fn of(path: &str) -> Option<Self> {
+        if path.starts_with("process.") {
+            Some(Self::Process)
+        } else if path
+            .rsplit('.')
+            .next()
+            .is_some_and(|k| k.contains("cycles"))
+        {
+            Some(Self::Cycles)
+        } else {
+            None
+        }
+    }
 }
 
 /// One comparison failure.
@@ -371,28 +398,31 @@ pub struct Regression {
 pub struct DiffOutcome {
     /// Cycle-domain numbers checked.
     pub gated_numbers: usize,
+    /// `process.*` host-memory numbers checked.
+    pub gated_process: usize,
     /// Baseline-true booleans checked.
     pub gated_bools: usize,
     /// Metrics that regressed past tolerance (fail CI).
     pub regressions: Vec<Regression>,
     /// Largest fractional growth seen over a gated nonzero baseline
-    /// number (may be negative: an improvement).
+    /// cycle number (may be negative: an improvement).
     pub worst_growth: f64,
 }
 
 /// Compares a fresh report against its committed baseline.
 ///
 /// Gated: numeric keys containing `cycles` may grow at most
-/// `tolerance` over the baseline; booleans the baseline holds `true`
-/// must stay `true`; a gated baseline metric missing from the fresh
-/// report is a failure (schema changes require a baseline refresh).
-/// Everything else — wall-clock seconds, speedups, counts — is
-/// informational. Keys only the fresh report has are ignored.
+/// [`TOLERANCE`] over the baseline, and numbers under `process` at most
+/// [`PROCESS_TOLERANCE`]; booleans the baseline holds `true` must stay
+/// `true`; a gated baseline metric missing from the fresh report is a
+/// failure (schema changes require a baseline refresh). Everything
+/// else — wall-clock seconds, speedups, counts — is informational.
+/// Keys only the fresh report has are ignored.
 ///
 /// # Errors
 ///
 /// The baseline or fresh document fails to parse.
-pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<DiffOutcome, String> {
+pub fn compare(baseline: &str, fresh: &str) -> Result<DiffOutcome, String> {
     let base = flatten(&parse(baseline).map_err(|e| format!("baseline: {e}"))?);
     let fresh: std::collections::HashMap<String, Json> =
         flatten(&parse(fresh).map_err(|e| format!("fresh: {e}"))?)
@@ -404,27 +434,34 @@ pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<DiffOutcom
     };
     for (path, bv) in base {
         match bv {
-            Json::Num(b) if is_cycle_metric(&path) => {
-                out.gated_numbers += 1;
+            Json::Num(b) => {
+                let Some(gate) = NumberGate::of(&path) else {
+                    continue;
+                };
+                let (limit, unit, count) = match gate {
+                    NumberGate::Cycles => (TOLERANCE, " cycles", &mut out.gated_numbers),
+                    NumberGate::Process => (PROCESS_TOLERANCE, "", &mut out.gated_process),
+                };
+                *count += 1;
                 match fresh.get(&path) {
                     Some(Json::Num(f)) => {
-                        if b > 0.0 {
+                        if gate == NumberGate::Cycles && b > 0.0 {
                             out.worst_growth = out.worst_growth.max((f - b) / b);
                         }
-                        if *f > b * (1.0 + tolerance) {
+                        if *f > b * (1.0 + limit) {
                             out.regressions.push(Regression {
                                 path,
                                 detail: format!(
-                                    "{f:.0} cycles vs baseline {b:.0} (+{:.1}%, limit +{:.0}%)",
+                                    "{f}{unit} vs baseline {b}{unit} (+{:.1}%, limit +{:.0}%)",
                                     (f - b) / b * 100.0,
-                                    tolerance * 100.0
+                                    limit * 100.0
                                 ),
                             });
                         }
                     }
                     other => out.regressions.push(Regression {
                         path,
-                        detail: format!("baseline has {b:.0} cycles, fresh has {other:?}"),
+                        detail: format!("baseline has {b}{unit}, fresh has {other:?}"),
                     }),
                 }
             }
@@ -525,19 +562,19 @@ mod tests {
     fn gates_cycles_growth_and_boolean_flips() {
         let base = r#"{ "makespan_cycles": 1000, "wall_s": 1.0, "bit_identical": true }"#;
         let same = r#"{ "makespan_cycles": 1100, "wall_s": 9.0, "bit_identical": true }"#;
-        let out = compare(base, same, 0.15).expect("compares");
+        let out = compare(base, same).expect("compares");
         assert!(out.regressions.is_empty(), "{:?}", out.regressions);
         assert_eq!(out.gated_numbers, 1);
         assert_eq!(out.gated_bools, 1);
         assert!((out.worst_growth - 0.1).abs() < 1e-9);
 
         let slow = r#"{ "makespan_cycles": 1200, "wall_s": 0.1, "bit_identical": true }"#;
-        let out = compare(base, slow, 0.15).expect("compares");
+        let out = compare(base, slow).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "makespan_cycles");
 
         let broken = r#"{ "makespan_cycles": 900, "wall_s": 0.1, "bit_identical": false }"#;
-        let out = compare(base, broken, 0.15).expect("compares");
+        let out = compare(base, broken).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "bit_identical");
     }
@@ -546,15 +583,54 @@ mod tests {
     fn missing_gated_metric_fails_but_new_keys_pass() {
         let base = r#"{ "runs": [ { "makespan_cycles": 10 } ] }"#;
         let fresh = r#"{ "runs": [ { "other": 1 } ], "extra": true }"#;
-        let out = compare(base, fresh, 0.15).expect("compares");
+        let out = compare(base, fresh).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "runs[0].makespan_cycles");
         // Baseline-false booleans and wall-clock values are never gated.
         let base = r#"{ "flag": false, "wall_s": 1.0 }"#;
         let fresh = r#"{ "flag": true, "wall_s": 100.0 }"#;
-        assert!(compare(base, fresh, 0.15)
+        assert!(compare(base, fresh)
             .expect("compares")
             .regressions
             .is_empty());
+    }
+
+    #[test]
+    fn gates_host_memory_growth_at_fifty_percent() {
+        let base = r#"{ "makespan_cycles": 1000,
+            "process": { "peak_rss_mb": 10.0, "minor_faults": 1000 } }"#;
+        let grown = |rss: f64, faults: u32| {
+            format!(
+                r#"{{ "makespan_cycles": 1000,
+                "process": {{ "peak_rss_mb": {rss}, "minor_faults": {faults} }} }}"#
+            )
+        };
+        // +40 % passes, and so does a decrease.
+        for fresh in [grown(14.0, 1400), grown(2.5, 10)] {
+            let out = compare(base, &fresh).expect("compares");
+            assert!(out.regressions.is_empty(), "{:?}", out.regressions);
+            assert_eq!(out.gated_process, 2);
+            assert_eq!(out.gated_numbers, 1);
+            assert_eq!(
+                out.worst_growth, 0.0,
+                "host metrics stay out of the cycle drift"
+            );
+        }
+        // +60 % fails, per metric.
+        let out = compare(base, &grown(16.0, 1000)).expect("compares");
+        assert_eq!(out.regressions.len(), 1);
+        assert_eq!(out.regressions[0].path, "process.peak_rss_mb");
+        let out = compare(base, &grown(16.0, 1600)).expect("compares");
+        assert_eq!(out.regressions.len(), 2);
+        assert_eq!(out.regressions[1].path, "process.minor_faults");
+        // A cycle metric keeps its +15 % rule: +40 % fails it.
+        let slow = r#"{ "makespan_cycles": 1400,
+            "process": { "peak_rss_mb": 10.0, "minor_faults": 1000 } }"#;
+        let out = compare(base, slow).expect("compares");
+        assert_eq!(out.regressions.len(), 1);
+        assert_eq!(out.regressions[0].path, "makespan_cycles");
+        // A baseline with a process block needs one in the fresh report.
+        let out = compare(base, r#"{ "makespan_cycles": 1000 }"#).expect("compares");
+        assert_eq!(out.regressions.len(), 2);
     }
 }

@@ -19,11 +19,6 @@ fn arr<T>(items: &[T], f: impl Fn(&T) -> Json) -> Json {
     Json::Arr(items.iter().map(f).collect())
 }
 
-/// A whole `BENCH_*.json` document: the value plus a final newline.
-fn document(v: &Json) -> String {
-    format!("{v}\n")
-}
-
 /// Formats Table I ("Figures of merit of one NTX cluster").
 #[must_use]
 pub fn table1(r: &Table1Report) -> String {
@@ -320,17 +315,17 @@ fn hmc_curve_json(c: &crate::experiments::HmcWorkloadCurve) -> Json {
     }
 }
 
-/// Serialises the shared-HMC saturation measurement as the
+/// Builds the shared-HMC saturation measurement as the
 /// `BENCH_hmc.json` artifact.
 #[must_use]
-pub fn hmc_json(r: &crate::experiments::HmcReport) -> String {
-    document(&obj! {
+pub fn hmc_json(r: &crate::experiments::HmcReport) -> Json {
+    obj! {
         "shared_bandwidth" => r.shared_bandwidth,
         "shared_words_per_cycle" => r.shared_words_per_cycle,
         "conv" => hmc_curve_json(&r.conv),
         "gemm" => hmc_curve_json(&r.gemm),
         "bit_identical" => r.bit_identical,
-    })
+    }
 }
 
 /// Formats one curve of the mesh weak-scaling sweep.
@@ -411,17 +406,17 @@ fn mesh_curve_json(c: &crate::experiments::MeshWorkloadCurve) -> Json {
     }
 }
 
-/// Serialises the mesh measurement as the `BENCH_mesh.json` artifact.
+/// Builds the mesh measurement as the `BENCH_mesh.json` artifact.
 #[must_use]
-pub fn mesh_json(r: &crate::experiments::MeshReport) -> String {
-    document(&obj! {
+pub fn mesh_json(r: &crate::experiments::MeshReport) -> Json {
+    obj! {
         "cube_bandwidth" => r.cube_bandwidth,
         "link_words_per_cycle" => r.link_words_per_cycle,
         "link_latency_cycles" => r.link_latency_cycles,
         "conv" => mesh_curve_json(&r.conv),
         "gemm" => mesh_curve_json(&r.gemm),
         "bit_identical" => r.bit_identical,
-    })
+    }
 }
 
 /// Formats the simulator fast-path measurement.
@@ -525,11 +520,11 @@ fn server_run_json(st: &crate::experiments::ServerRunStats) -> Json {
     }
 }
 
-/// Serialises the serving-stack measurement as the
+/// Builds the serving-stack measurement as the
 /// `BENCH_serving.json` artifact.
 #[must_use]
-pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> String {
-    document(&obj! {
+pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> Json {
+    obj! {
         "clusters" => r.clusters,
         "jobs" => r.jobs,
         "barriered_makespan_cycles" => r.barriered_makespan_cycles,
@@ -552,7 +547,7 @@ pub fn serving_json(r: &crate::experiments::ServingBenchReport) -> String {
             "jobs_per_second" => p.jobs_per_second,
             "speedup" => p.speedup,
         }),
-    })
+    }
 }
 
 fn simperf_workload_json(w: &crate::experiments::SimPerfWorkload) -> Json {
@@ -571,16 +566,16 @@ fn simperf_workload_json(w: &crate::experiments::SimPerfWorkload) -> Json {
     }
 }
 
-/// Serialises the simulator fast-path measurement as the
+/// Builds the simulator fast-path measurement as the
 /// `BENCH_sim.json` artifact.
 #[must_use]
-pub fn simperf_json(r: &crate::experiments::SimPerfReport) -> String {
-    document(&obj! {
+pub fn simperf_json(r: &crate::experiments::SimPerfReport) -> Json {
+    obj! {
         "workloads" => Json::Arr(vec![
             simperf_workload_json(&r.streaming),
             simperf_workload_json(&r.single_ntx),
         ]),
-    })
+    }
 }
 
 /// Renders the chaos / robustness measurement for the terminal.
@@ -660,11 +655,11 @@ fn chaos_run_json(st: &crate::experiments::ChaosRunStats) -> Json {
     }
 }
 
-/// Serialises the chaos measurement as the `BENCH_chaos.json`
+/// Builds the chaos measurement as the `BENCH_chaos.json`
 /// artifact.
 #[must_use]
-pub fn chaos_json(r: &crate::experiments::ChaosBenchReport) -> String {
-    document(&obj! {
+pub fn chaos_json(r: &crate::experiments::ChaosBenchReport) -> Json {
+    obj! {
         "clusters" => r.clusters,
         "jobs" => r.jobs,
         "calib_makespan_cycles" => r.calib_makespan_cycles,
@@ -689,7 +684,7 @@ pub fn chaos_json(r: &crate::experiments::ChaosBenchReport) -> String {
         "async_completed" => r.async_completed,
         "async_backpressure" => r.async_backpressure,
         "async_all_explicit" => r.async_all_explicit,
-    })
+    }
 }
 
 /// Formats the native-CPU backend report as a text table.
@@ -751,14 +746,14 @@ fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> Json {
 
 /// Formats the native-CPU backend report as JSON (for `BENCH_cpu.json`).
 #[must_use]
-pub fn cpu_json(r: &crate::experiments::CpuBenchReport) -> String {
-    document(&obj! {
+pub fn cpu_json(r: &crate::experiments::CpuBenchReport) -> Json {
+    obj! {
         "host_cores" => r.host_cores,
         "threads" => r.threads,
         "workloads" => arr(&r.workloads, cpu_point_json),
         "exact_bit_identical" => r.exact_bit_identical,
         "gated_fast_speedup" => r.gated_fast_speedup,
-    })
+    }
 }
 
 /// Formats the training-step DAG report as a text table.
@@ -834,8 +829,8 @@ fn dnn_run_json(run: &crate::experiments::DnnStepRun) -> Json {
 
 /// Formats the training-step DAG report as JSON (for `BENCH_dnn.json`).
 #[must_use]
-pub fn dnn_json(r: &crate::experiments::DnnBenchReport) -> String {
-    document(&obj! {
+pub fn dnn_json(r: &crate::experiments::DnnBenchReport) -> Json {
+    obj! {
         "network" => r.network.as_str(),
         "ops" => r.ops,
         "batch" => r.batch,
@@ -851,7 +846,7 @@ pub fn dnn_json(r: &crate::experiments::DnnBenchReport) -> String {
         "deep_fast_max_abs_err" => r.deep_fast_max_abs_err,
         "predicted_step_s" => r.predicted_step_s,
         "predicted_flops" => r.predicted_flops,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 pub mod diff;
 pub mod experiments;
 pub mod format;
+mod process;
 
 pub use experiments::{
     chaos_report, cpu_report, dnn_report, fig5_points, greenwave_rows, hmc_report,
@@ -21,3 +22,4 @@ pub use experiments::{
     MeshReport, MeshScalingPoint, MeshWorkloadCurve, PrecisionReport, ScalingPoint, ScalingReport,
     ServingBenchReport, SimPerfReport, SimPerfWorkload, Table1Report,
 };
+pub use process::write_bench;

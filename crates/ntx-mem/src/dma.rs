@@ -91,12 +91,17 @@ impl DmaDescriptor {
         self.total_bytes() / 4
     }
 
+    /// The ext and TCDM addresses of word `word`. Both wrap, as the
+    /// engine's incremental cursor does, so any descriptor a program
+    /// can write is well defined.
     fn word_addrs(&self, word: u64) -> (u64, u32) {
         let wpr = u64::from(self.row_bytes / 4);
         let row = word / wpr;
         let col = word % wpr;
         (
-            self.ext_addr + row * self.ext_stride + col * 4,
+            self.ext_addr
+                .wrapping_add(row.wrapping_mul(self.ext_stride))
+                .wrapping_add(col * 4),
             self.tcdm_addr
                 .wrapping_add((row as u32).wrapping_mul(self.tcdm_stride))
                 .wrapping_add(col as u32 * 4),

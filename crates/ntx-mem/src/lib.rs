@@ -13,7 +13,9 @@
 //!   between TCDM and external memory through the 64-bit AXI port at
 //!   half the NTX clock (5 GB/s peak, §II-A/§III-C);
 //! * [`ExtMemory`] — the byte-addressed memory behind the AXI port (the
-//!   HMC's DRAM vaults in the paper) with traffic counters;
+//!   HMC's DRAM vaults in the paper) with traffic counters, stored as
+//!   sparse 64 KiB pages so the whole 64-bit space costs only what is
+//!   written;
 //! * [`hmc`] — the shared Hybrid Memory Cube subsystem: organisation
 //!   parameters for the system-level models, plus the
 //!   [`HmcSubsystem`]/[`HmcPort`] per-cycle bandwidth arbiter that

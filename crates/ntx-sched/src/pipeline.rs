@@ -58,4 +58,91 @@ mod tests {
         assert_eq!(perf1.dma_bytes, perf2.dma_bytes);
         assert_eq!(perf1.cycles, perf2.cycles);
     }
+
+    /// The tiler puts operands at `EXT_IN0`, `EXT_IN1` (16 MiB) and
+    /// `EXT_OUT` (32 MiB). A sparse store holds only the pages a shard
+    /// touches: at most one per region for serve-mix's largest shapes.
+    #[test]
+    fn tiled_shards_keep_ext_memory_to_the_pages_they_touch() {
+        use crate::{Job, JobKind, ReadbackSource, Tiler};
+        use ntx_kernels::blas::GemmKernel;
+        use ntx_kernels::conv::Conv2dKernel;
+
+        let data = |n: usize| -> Vec<f32> { (0..n).map(|i| (i % 17) as f32 * 0.125).collect() };
+        let kinds = [
+            JobKind::Axpy {
+                a: 1.25,
+                x: data(14_000),
+                y: data(14_000),
+            },
+            JobKind::Gemm {
+                dims: GemmKernel {
+                    m: 32,
+                    k: 16,
+                    n: 16,
+                },
+                a: data(32 * 16),
+                b: data(16 * 16),
+            },
+            JobKind::Conv2d {
+                kernel: Conv2dKernel {
+                    height: 64,
+                    width: 48,
+                    k: 3,
+                    filters: 4,
+                },
+                image: data(64 * 48),
+                weights: data(9 * 4),
+            },
+            JobKind::Stencil2d {
+                height: 64,
+                width: 40,
+                grid: data(64 * 40),
+            },
+        ];
+        let cpu = ntx_cpu::NativeBackend::exact().with_threads(1);
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        for kind in kinds {
+            let expect = match &kind {
+                JobKind::Axpy { a, x, y } => cpu.axpy(*a, x, y),
+                JobKind::Gemm { dims, a, b } => cpu.gemm(dims, a, b),
+                JobKind::Conv2d {
+                    kernel,
+                    image,
+                    weights,
+                } => cpu.conv2d(kernel, image, weights),
+                JobKind::Stencil2d {
+                    height,
+                    width,
+                    grid,
+                } => cpu.stencil2d(*height as usize, *width as usize, grid),
+                JobKind::Raw(_) => unreachable!("no raw jobs here"),
+            };
+            let job = Job::new(0, "footprint", kind);
+            let mut out = vec![0f32; job.output_len()];
+            for plan in Tiler::new(1).plan(&job, &cluster).expect("plans") {
+                for (addr, values) in &plan.ext_writes {
+                    cluster.ext_mem().write_f32_slice(*addr, values);
+                }
+                for (addr, values) in &plan.tcdm_writes {
+                    cluster.write_tcdm_f32(*addr, values);
+                }
+                TilePipeline::new(&mut cluster, plan.tiles).run_to_completion(&mut cluster);
+                for rb in &plan.readbacks {
+                    let dst = &mut out[rb.dst..rb.dst + rb.len as usize];
+                    match rb.source {
+                        ReadbackSource::Ext(addr) => cluster.ext_mem().read_f32_into(addr, dst),
+                        ReadbackSource::Tcdm(addr) => cluster.read_tcdm_into(addr, dst),
+                    }
+                }
+            }
+            assert_eq!(out, expect, "{}", job.label);
+            assert!(
+                cluster.ext_mem().resident_bytes() <= 3 * 64 * 1024,
+                "{}: {} bytes resident",
+                job.label,
+                cluster.ext_mem().resident_bytes()
+            );
+        }
+    }
 }

@@ -1128,39 +1128,45 @@ mod tests {
 
     #[test]
     fn mmio_dma_descriptor_block() {
-        let mut cluster = Cluster::new(ClusterConfig::default());
-        cluster.ext_mem().write_f32_slice(0x100, &[1.5, 2.5]);
-        let b = map::DMA_BASE;
-        cluster
-            .write(b + map::DMA_EXT_LO, AccessSize::Word, 0x100)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_EXT_HI, AccessSize::Word, 0)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_TCDM, AccessSize::Word, 0x300)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_ROW_BYTES, AccessSize::Word, 8)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_ROWS, AccessSize::Word, 1)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_EXT_STRIDE, AccessSize::Word, 8)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_TCDM_STRIDE, AccessSize::Word, 8)
-            .unwrap();
-        cluster
-            .write(b + map::DMA_START, AccessSize::Word, 0)
-            .unwrap();
-        assert_eq!(
-            cluster.read(b + map::DMA_STATUS, AccessSize::Word).unwrap(),
-            1
-        );
-        cluster.run_to_completion();
-        assert_eq!(cluster.read_tcdm_f32(0x300, 2), vec![1.5, 2.5]);
+        // Any 64-bit address a program writes is valid: 2^40 costs one
+        // page, and from 2^64 - 4 the first row straddles the top of
+        // the address space and the second starts past it, at 4.
+        let data = [1.5, 2.5, 3.5, 4.5];
+        for ext in [0x100, 1 << 40, u64::MAX - 3] {
+            let mut cluster = Cluster::new(ClusterConfig::default());
+            cluster.ext_mem().write_f32_slice(ext, &data);
+            let b = map::DMA_BASE;
+            // Moves two 8-byte rows between `ext_addr` and TCDM 0x300.
+            let dma = |cluster: &mut Cluster, ext_addr: u64, to_ext: bool| {
+                for (reg, value) in [
+                    (map::DMA_EXT_LO, ext_addr as u32),
+                    (map::DMA_EXT_HI, (ext_addr >> 32) as u32),
+                    (map::DMA_TCDM, 0x300),
+                    (map::DMA_ROW_BYTES, 8),
+                    (map::DMA_ROWS, 2),
+                    (map::DMA_EXT_STRIDE, 8),
+                    (map::DMA_TCDM_STRIDE, 8),
+                    (map::DMA_START, u32::from(to_ext)),
+                ] {
+                    cluster.write(b + reg, AccessSize::Word, value).unwrap();
+                }
+                assert_eq!(
+                    cluster.read(b + map::DMA_STATUS, AccessSize::Word).unwrap(),
+                    1
+                );
+                cluster.run_to_completion();
+            };
+            dma(&mut cluster, ext, false);
+            assert_eq!(cluster.read_tcdm_f32(0x300, 4), data);
+            let back = ext.wrapping_add(16);
+            dma(&mut cluster, back, true);
+            assert_eq!(cluster.ext_mem().read_f32_slice(back, 4), data);
+            assert!(
+                cluster.ext_mem().resident_bytes() <= 2 * 64 * 1024,
+                "ext {ext:#x}: {} bytes resident",
+                cluster.ext_mem().resident_bytes()
+            );
+        }
     }
 
     #[test]
