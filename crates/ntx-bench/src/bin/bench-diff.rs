@@ -1,9 +1,10 @@
 //! Gates the bench trajectory: compares every fresh `BENCH_*.json` in
 //! the working directory against its committed baseline in
-//! `bench/baseline/` and fails on a >15 % regression of any gated
-//! cycle-domain metric, a >50 % growth of the `process` block's peak
-//! RSS or minor page faults, or a flipped bit-identity/determinism
-//! flag. Wall-clock numbers vary with the host and are never gated.
+//! `bench/baseline/` and fails on any change, up or down, of a gated
+//! cycle-domain metric (they are deterministic), a >50 % growth of the
+//! `process` block's peak RSS or minor page faults, or a flipped
+//! bit-identity/determinism flag. Wall-clock numbers vary with the host
+//! and are never gated.
 //!
 //! Usage: `bench-diff [baseline_dir]` (default `bench/baseline`).
 //! Refresh workflow: rerun the report binaries, inspect the diff, then
@@ -30,9 +31,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "Bench trajectory vs {baseline_dir} (cycle-domain gate +{:.0}%, host-memory gate +{:.0}%, \
+        "Bench trajectory vs {baseline_dir} (cycle-domain gate exact, host-memory gate +{:.0}%, \
          wall-clock informational)",
-        diff::TOLERANCE * 100.0,
         diff::PROCESS_TOLERANCE * 100.0
     );
     let mut failed = false;
@@ -51,12 +51,10 @@ fn main() {
         match diff::compare(&baseline, &fresh) {
             Ok(out) => {
                 println!(
-                    "  {name:<22} {:>3} cycle metrics, {:>3} flags, {} host metrics, \
-                     worst cycle drift {:+.1}%  {}",
+                    "  {name:<22} {:>3} cycle metrics, {:>3} flags, {} host metrics  {}",
                     out.gated_numbers,
                     out.gated_bools,
                     out.gated_process,
-                    out.worst_growth * 100.0,
                     if out.regressions.is_empty() {
                         "ok"
                     } else {
@@ -77,9 +75,10 @@ fn main() {
     }
     if failed {
         eprintln!(
-            "bench-diff failed. If the regression is intended (new workload, schema \
-             change), refresh the baselines: rerun the report binaries and copy the \
-             fresh BENCH_*.json into bench/baseline/ (see README)."
+            "bench-diff failed. If the change is intended (a new workload, a schema or \
+             timing-model change), refresh the baselines: rerun the report binaries, copy \
+             the fresh BENCH_*.json into bench/baseline/ and say why in CHANGES.md (see \
+             README)."
         );
         std::process::exit(1);
     }

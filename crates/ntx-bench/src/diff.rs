@@ -10,8 +10,9 @@
 //! numeric keys containing `cycles` (deterministic simulator outputs,
 //! machine-independent) and booleans the baseline holds `true`
 //! (bit-identity, DAG-order and determinism flags). A gated cycle
-//! number may grow at most [`TOLERANCE`] (15 %) over its baseline; a
-//! gated boolean may never flip to `false`. The host-memory numbers of
+//! number must equal its baseline exactly — a change either way fails
+//! until the baseline is refreshed on purpose — and a gated boolean may
+//! never flip to `false`. The host-memory numbers of
 //! the `process` block (peak RSS, minor page faults) vary a little with
 //! the host and thread count, so they may grow at most
 //! [`PROCESS_TOLERANCE`] (50 %): loose enough for that noise, tight
@@ -24,10 +25,6 @@
 //! writes.
 
 use std::fmt::{self, Write as _};
-
-/// Fractional growth a gated cycle-domain metric may show over its
-/// baseline before `bench-diff` fails (0.15 = +15 %).
-pub const TOLERANCE: f64 = 0.15;
 
 /// Fractional growth a `process.*` host-memory metric may show over its
 /// baseline before `bench-diff` fails (0.5 = +50 %).
@@ -361,7 +358,7 @@ pub fn flatten(v: &Json) -> Vec<(String, Json)> {
 /// The gates a flattened numeric path can fall under.
 #[derive(Clone, Copy, PartialEq)]
 enum NumberGate {
-    /// A key containing `cycles`: [`TOLERANCE`].
+    /// A key containing `cycles`: must equal the baseline.
     Cycles,
     /// A member of the `process` block: [`PROCESS_TOLERANCE`].
     Process,
@@ -402,18 +399,17 @@ pub struct DiffOutcome {
     pub gated_process: usize,
     /// Baseline-true booleans checked.
     pub gated_bools: usize,
-    /// Metrics that regressed past tolerance (fail CI).
+    /// Metrics that changed or regressed past tolerance (fail CI).
     pub regressions: Vec<Regression>,
-    /// Largest fractional growth seen over a gated nonzero baseline
-    /// cycle number (may be negative: an improvement).
-    pub worst_growth: f64,
 }
 
 /// Compares a fresh report against its committed baseline.
 ///
-/// Gated: numeric keys containing `cycles` may grow at most
-/// [`TOLERANCE`] over the baseline, and numbers under `process` at most
-/// [`PROCESS_TOLERANCE`]; booleans the baseline holds `true` must stay
+/// Gated: numeric keys containing `cycles` must equal the baseline
+/// exactly (they are deterministic, so any change, faster or slower, is
+/// a behaviour change to refresh deliberately), and numbers under
+/// `process` may grow at most [`PROCESS_TOLERANCE`]; booleans the
+/// baseline holds `true` must stay
 /// `true`; a gated baseline metric missing from the fresh report is a
 /// failure (schema changes require a baseline refresh). Everything
 /// else — wall-clock seconds, speedups, counts — is informational.
@@ -428,35 +424,40 @@ pub fn compare(baseline: &str, fresh: &str) -> Result<DiffOutcome, String> {
         flatten(&parse(fresh).map_err(|e| format!("fresh: {e}"))?)
             .into_iter()
             .collect();
-    let mut out = DiffOutcome {
-        worst_growth: f64::NEG_INFINITY,
-        ..DiffOutcome::default()
-    };
+    let mut out = DiffOutcome::default();
     for (path, bv) in base {
         match bv {
             Json::Num(b) => {
                 let Some(gate) = NumberGate::of(&path) else {
                     continue;
                 };
-                let (limit, unit, count) = match gate {
-                    NumberGate::Cycles => (TOLERANCE, " cycles", &mut out.gated_numbers),
-                    NumberGate::Process => (PROCESS_TOLERANCE, "", &mut out.gated_process),
+                let unit = match gate {
+                    NumberGate::Cycles => {
+                        out.gated_numbers += 1;
+                        " cycles"
+                    }
+                    NumberGate::Process => {
+                        out.gated_process += 1;
+                        ""
+                    }
                 };
-                *count += 1;
                 match fresh.get(&path) {
-                    Some(Json::Num(f)) => {
-                        if gate == NumberGate::Cycles && b > 0.0 {
-                            out.worst_growth = out.worst_growth.max((f - b) / b);
-                        }
-                        if *f > b * (1.0 + limit) {
-                            out.regressions.push(Regression {
-                                path,
-                                detail: format!(
-                                    "{f}{unit} vs baseline {b}{unit} (+{:.1}%, limit +{:.0}%)",
+                    Some(&Json::Num(f)) => {
+                        let detail = match gate {
+                            NumberGate::Cycles if f != b => {
+                                Some(format!("{f}{unit} vs baseline {b}{unit}, gated exactly"))
+                            }
+                            NumberGate::Process if f > b * (1.0 + PROCESS_TOLERANCE) => {
+                                Some(format!(
+                                    "{f} vs baseline {b} (+{:.1}%, limit +{:.0}%)",
                                     (f - b) / b * 100.0,
-                                    limit * 100.0
-                                ),
-                            });
+                                    PROCESS_TOLERANCE * 100.0
+                                ))
+                            }
+                            _ => None,
+                        };
+                        if let Some(detail) = detail {
+                            out.regressions.push(Regression { path, detail });
                         }
                     }
                     other => out.regressions.push(Regression {
@@ -476,9 +477,6 @@ pub fn compare(baseline: &str, fresh: &str) -> Result<DiffOutcome, String> {
             }
             _ => {}
         }
-    }
-    if out.worst_growth == f64::NEG_INFINITY {
-        out.worst_growth = 0.0;
     }
     Ok(out)
 }
@@ -559,21 +557,25 @@ mod tests {
     }
 
     #[test]
-    fn gates_cycles_growth_and_boolean_flips() {
+    fn gates_cycles_exactly_and_boolean_flips() {
         let base = r#"{ "makespan_cycles": 1000, "wall_s": 1.0, "bit_identical": true }"#;
-        let same = r#"{ "makespan_cycles": 1100, "wall_s": 9.0, "bit_identical": true }"#;
+        let same = r#"{ "makespan_cycles": 1000, "wall_s": 9.0, "bit_identical": true }"#;
         let out = compare(base, same).expect("compares");
         assert!(out.regressions.is_empty(), "{:?}", out.regressions);
         assert_eq!(out.gated_numbers, 1);
         assert_eq!(out.gated_bools, 1);
-        assert!((out.worst_growth - 0.1).abs() < 1e-9);
 
-        let slow = r#"{ "makespan_cycles": 1200, "wall_s": 0.1, "bit_identical": true }"#;
-        let out = compare(base, slow).expect("compares");
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(out.regressions[0].path, "makespan_cycles");
+        // One cycle more or one cycle less both fail.
+        for cycles in [1001, 999] {
+            let fresh = format!(
+                r#"{{ "makespan_cycles": {cycles}, "wall_s": 0.1, "bit_identical": true }}"#
+            );
+            let out = compare(base, &fresh).expect("compares");
+            assert_eq!(out.regressions.len(), 1, "{cycles} cycles");
+            assert_eq!(out.regressions[0].path, "makespan_cycles");
+        }
 
-        let broken = r#"{ "makespan_cycles": 900, "wall_s": 0.1, "bit_identical": false }"#;
+        let broken = r#"{ "makespan_cycles": 1000, "wall_s": 0.1, "bit_identical": false }"#;
         let out = compare(base, broken).expect("compares");
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(out.regressions[0].path, "bit_identical");
@@ -611,10 +613,6 @@ mod tests {
             assert!(out.regressions.is_empty(), "{:?}", out.regressions);
             assert_eq!(out.gated_process, 2);
             assert_eq!(out.gated_numbers, 1);
-            assert_eq!(
-                out.worst_growth, 0.0,
-                "host metrics stay out of the cycle drift"
-            );
         }
         // +60 % fails, per metric.
         let out = compare(base, &grown(16.0, 1000)).expect("compares");
@@ -623,8 +621,8 @@ mod tests {
         let out = compare(base, &grown(16.0, 1600)).expect("compares");
         assert_eq!(out.regressions.len(), 2);
         assert_eq!(out.regressions[1].path, "process.minor_faults");
-        // A cycle metric keeps its +15 % rule: +40 % fails it.
-        let slow = r#"{ "makespan_cycles": 1400,
+        // A cycle metric stays exact beside the host-memory rule.
+        let slow = r#"{ "makespan_cycles": 1001,
             "process": { "peak_rss_mb": 10.0, "minor_faults": 1000 } }"#;
         let out = compare(base, slow).expect("compares");
         assert_eq!(out.regressions.len(), 1);

@@ -81,6 +81,29 @@ impl DmaDescriptor {
         }
     }
 
+    /// Checks the descriptor rules [`DmaEngine::push`] enforces: at
+    /// least one row, row bytes a positive multiple of 4, word-aligned
+    /// addresses and strides.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.rows == 0 {
+            return Err("descriptor needs at least one row");
+        }
+        if self.row_bytes == 0 || !self.row_bytes.is_multiple_of(4) {
+            return Err("row bytes must be a positive multiple of 4");
+        }
+        if !self.ext_addr.is_multiple_of(4) || !self.tcdm_addr.is_multiple_of(4) {
+            return Err("DMA addresses must be word aligned");
+        }
+        if !self.ext_stride.is_multiple_of(4) || !self.tcdm_stride.is_multiple_of(4) {
+            return Err("DMA strides must be word aligned");
+        }
+        Ok(())
+    }
+
     /// Total payload bytes of the transfer.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
@@ -184,22 +207,13 @@ impl DmaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the descriptor geometry is degenerate (zero rows, zero
-    /// or unaligned row bytes, unaligned addresses).
+    /// Panics if the descriptor breaks a rule of
+    /// [`DmaDescriptor::validate`] (zero rows, zero or unaligned row
+    /// bytes, unaligned addresses or strides).
     pub fn push(&mut self, desc: DmaDescriptor) {
-        assert!(desc.rows > 0, "descriptor needs at least one row");
-        assert!(
-            desc.row_bytes > 0 && desc.row_bytes.is_multiple_of(4),
-            "row bytes must be a positive multiple of 4"
-        );
-        assert!(
-            desc.ext_addr.is_multiple_of(4) && desc.tcdm_addr.is_multiple_of(4),
-            "DMA addresses must be word aligned"
-        );
-        assert!(
-            desc.ext_stride.is_multiple_of(4) && desc.tcdm_stride.is_multiple_of(4),
-            "DMA strides must be word aligned"
-        );
+        if let Err(rule) = desc.validate() {
+            panic!("{rule}");
+        }
         self.queue.push_back(desc);
         if self.queue.len() == 1 {
             self.sync_cursor();
@@ -265,15 +279,18 @@ impl DmaEngine {
     /// applies (a denied word blocks the ones behind it, preserving
     /// order). Returns the number of words moved.
     pub fn commit(&mut self, granted: &[bool], tcdm: &mut Tcdm, ext: &mut ExtMemory) -> u32 {
+        let beats = granted.iter().take_while(|&&g| g).count();
+        self.commit_beats(beats, tcdm, ext)
+    }
+
+    /// [`DmaEngine::commit`] given the number of leading granted words
+    /// (`beats` must not exceed this cycle's desired accesses).
+    pub fn commit_beats(&mut self, beats: usize, tcdm: &mut Tcdm, ext: &mut ExtMemory) -> u32 {
         let Some(desc) = self.queue.front().copied() else {
             return 0;
         };
-        let mut moved = 0u32;
         let wpr = u64::from(desc.row_bytes / 4);
-        for &g in granted {
-            if !g {
-                break; // in-order: a stalled beat blocks the rest
-            }
+        for _ in 0..beats {
             let (ea, ta) = (self.cur_ea, self.cur_ta);
             debug_assert_eq!((ea, ta), desc.word_addrs(self.current_word));
             match desc.dir {
@@ -305,11 +322,10 @@ impl DmaEngine {
                 self.cur_ea = self.cur_ea.wrapping_add(4);
                 self.cur_ta = self.cur_ta.wrapping_add(4);
             }
-            moved += 1;
         }
-        if moved > 0 {
+        if beats > 0 {
             self.busy_cycles += 1;
-            self.bytes_moved += u64::from(moved) * 4;
+            self.bytes_moved += beats as u64 * 4;
         }
         if self.current_word == desc.total_words() {
             self.queue.pop_front();
@@ -317,7 +333,7 @@ impl DmaEngine {
             self.completed += 1;
             self.sync_cursor();
         }
-        moved
+        beats as u32
     }
 
     /// Drains the head descriptor as the *sole* TCDM master for up to

@@ -9,7 +9,12 @@
 //!
 //! [`Interconnect::arbitrate`] resolves one cycle of requests with
 //! per-bank round-robin fairness and keeps the conflict statistics the
-//! evaluation reports.
+//! evaluation reports. It is the reference. The simulator's hot loop
+//! arbitrates on per-bank master bitmasks instead:
+//! [`Interconnect::request`] sets the master's bit in its bank's mask,
+//! and [`Interconnect::resolve`] picks each bank's winner with one
+//! `trailing_zeros` above the round-robin pointer. Both give the same
+//! grants, statistics and pointers, cycle for cycle.
 
 /// Identity of a master port on the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,13 +77,11 @@ pub struct Interconnect {
     requests: u64,
     grants: u64,
     conflicts: u64,
-    /// Reusable per-bank provisional-winner indices for
-    /// [`Interconnect::arbitrate_into`] (`usize::MAX` = no requester
-    /// yet), reset lazily via `scratch_touched`.
-    scratch_head: Vec<usize>,
-    /// Round-robin key of each bank's provisional winner.
-    scratch_tail: Vec<usize>,
-    scratch_touched: Vec<usize>,
+    /// Per-bank bitmask of the dense master indices requesting the bank
+    /// in the cycle being arbitrated (mask arbiter, up to 64 banks).
+    masks: Vec<u64>,
+    /// Bitset of the banks with a non-empty mask.
+    occupied: u64,
 }
 
 impl Interconnect {
@@ -101,9 +104,8 @@ impl Interconnect {
             requests: 0,
             grants: 0,
             conflicts: 0,
-            scratch_head: vec![usize::MAX; banks as usize],
-            scratch_tail: vec![usize::MAX; banks as usize],
-            scratch_touched: Vec::new(),
+            masks: vec![0; banks.min(64) as usize],
+            occupied: 0,
         }
     }
 
@@ -114,26 +116,6 @@ impl Interconnect {
         } else {
             ((addr / 4) % self.banks) as usize
         }
-    }
-
-    /// Accounts one granted, uncontended access: the round-robin
-    /// pointer of the addressed bank moves to `master`, exactly as an
-    /// [`Interconnect::arbitrate`] grant would. The caller is
-    /// responsible for having proven the cycle conflict-free and for
-    /// bulk-advancing the request/grant statistics via
-    /// [`Interconnect::record_uncontended`].
-    #[inline]
-    pub fn note_grant(&mut self, addr: u32, master: MasterId) {
-        let bank = self.bank_of(addr);
-        self.rr[bank] = master.dense();
-    }
-
-    /// Bulk-advances the statistics for `n` granted, uncontended
-    /// requests (companion of [`Interconnect::note_grant`]).
-    #[inline]
-    pub fn record_uncontended(&mut self, n: u64) {
-        self.requests += n;
-        self.grants += n;
     }
 
     /// Round-robin distance of dense index `d` after pointer `ptr`.
@@ -152,10 +134,11 @@ impl Interconnect {
     ///
     /// This is the *reference* arbiter: it allocates its bucket lists
     /// per call and defines the semantics the allocation-free fast-path
-    /// variants ([`Interconnect::arbitrate_into`],
-    /// [`Interconnect::arbitrate_sole`], [`Interconnect::grant_stream`])
-    /// must reproduce bit-exactly (grants, statistics and round-robin
-    /// state alike; see the equivalence proptests).
+    /// variants (the mask arbiter of [`Interconnect::request`] and
+    /// [`Interconnect::resolve`], [`Interconnect::arbitrate_sole`],
+    /// [`Interconnect::grant_stream`]) must reproduce bit-exactly
+    /// (grants, statistics and round-robin state alike; see the
+    /// equivalence tests).
     pub fn arbitrate(&mut self, requests: &[BankRequest]) -> Vec<bool> {
         let mut granted = vec![false; requests.len()];
         // Group request indices by bank. Banks are few; a simple bucket
@@ -185,88 +168,60 @@ impl Interconnect {
         granted
     }
 
-    /// Allocation-free equivalent of [`Interconnect::arbitrate`]: writes
-    /// the grant flags into `granted` (cleared and resized) using
-    /// internal scratch buffers. A conflict-free cycle is detected with
-    /// a single bank-mask pass and granted wholesale; contended cycles
-    /// run the same bucket walk as the reference arbiter.
+    /// Registers one request of `master` with the mask arbiter (up to
+    /// 64 banks and 64 masters): the master's bit joins its bank's
+    /// mask. Returns `false` when the master already requested the bank
+    /// this cycle: a master's later same-bank request is always denied,
+    /// as under [`Interconnect::arbitrate`].
     #[inline]
-    pub fn arbitrate_into(&mut self, requests: &[BankRequest], granted: &mut Vec<bool>) {
-        granted.clear();
-        granted.resize(requests.len(), false);
-        if requests.is_empty() {
-            return;
-        }
-        // Fast pre-pass: banks fit a u64 occupancy mask on realistic
-        // geometries; no duplicate bank means every request is granted.
-        if self.banks <= 64 {
-            let mut mask = 0u64;
-            let mut dup = false;
-            for req in requests {
-                let bit = 1u64 << self.bank_of(req.addr);
-                if mask & bit != 0 {
-                    dup = true;
-                    break;
-                }
-                mask |= bit;
-            }
-            if !dup {
-                self.requests += requests.len() as u64;
-                self.grants += requests.len() as u64;
-                for (g, req) in granted.iter_mut().zip(requests) {
-                    *g = true;
-                    let bank = self.bank_of(req.addr);
-                    self.rr[bank] = req.master.dense();
-                }
-                return;
-            }
-        }
-        // Contended cycle: one pass tracking the provisional winner per
-        // bank (`scratch_head` holds its request index, `scratch_next`
-        // its round-robin key, both reset lazily via the touched list).
-        // A later contender with a strictly smaller key displaces the
-        // provisional winner — the same outcome as the reference
-        // `min_by_key` with its first-minimum tie-breaking.
-        while let Some(bank) = self.scratch_touched.pop() {
-            self.scratch_head[bank] = usize::MAX;
-        }
-        self.requests += requests.len() as u64;
-        let mut granted_count = 0u64;
-        for (i, req) in requests.iter().enumerate() {
-            let bank = self.bank_of(req.addr);
-            let key = Self::rr_key(req.master.dense(), self.rr[bank]);
-            let head = self.scratch_head[bank];
-            if head == usize::MAX {
-                self.scratch_head[bank] = i;
-                self.scratch_next_key_set(bank, key);
-                self.scratch_touched.push(bank);
-                granted[i] = true;
-                granted_count += 1;
-            } else if key < self.scratch_next_key(bank) {
-                granted[head] = false;
-                granted[i] = true;
-                self.scratch_head[bank] = i;
-                self.scratch_next_key_set(bank, key);
-            }
-        }
-        self.grants += granted_count;
-        self.conflicts += requests.len() as u64 - granted_count;
-        for t in 0..self.scratch_touched.len() {
-            let bank = self.scratch_touched[t];
-            self.rr[bank] = requests[self.scratch_head[bank]].master.dense();
-        }
+    pub fn request(&mut self, master: MasterId, addr: u32) -> bool {
+        let bank = self.bank_of(addr);
+        debug_assert!(bank < 64 && master.dense() < 64, "mask arbiter holds 64");
+        let bit = 1u64 << master.dense();
+        let mask = self.masks[bank];
+        self.masks[bank] = mask | bit;
+        self.occupied |= 1 << bank;
+        mask & bit == 0
     }
 
-    /// Per-bank round-robin key of the provisional winner (reuses the
-    /// `scratch_tail` slot allocation).
+    /// Resolves the cycle's `requests` registered requests. Each
+    /// requested bank grants the master whose dense index follows the
+    /// bank's round-robin pointer most closely: the lowest index in the
+    /// bank's master bitmask above the pointer, else the lowest overall
+    /// — one `trailing_zeros`. The pointer moves to the winner and the
+    /// statistics advance exactly as [`Interconnect::arbitrate`] would;
+    /// the masks are empty again for the next cycle. Returns `true`
+    /// when some request was denied. Query the outcome with
+    /// [`Interconnect::won`].
     #[inline]
-    fn scratch_next_key(&self, bank: usize) -> usize {
-        self.scratch_tail[bank]
+    pub fn resolve(&mut self, requests: u64) -> bool {
+        let mut bits = std::mem::take(&mut self.occupied);
+        let granted = u64::from(bits.count_ones());
+        while bits != 0 {
+            let bank = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let mask = std::mem::take(&mut self.masks[bank]);
+            let above = mask & ((u64::MAX << self.rr[bank]) << 1);
+            self.rr[bank] = if above != 0 {
+                above.trailing_zeros()
+            } else {
+                mask.trailing_zeros()
+            } as usize;
+        }
+        self.requests += requests;
+        self.grants += granted;
+        self.conflicts += requests - granted;
+        requests != granted
     }
 
+    /// True when `master` won the bank of `addr` in the cycle just
+    /// resolved — meaningful only for banks requested in that cycle. A
+    /// request [`Interconnect::request`] refused as a repeat is denied
+    /// even though its master holds the bank.
     #[inline]
-    fn scratch_next_key_set(&mut self, bank: usize, key: usize) {
-        self.scratch_tail[bank] = key;
+    #[must_use]
+    pub fn won(&self, master: MasterId, addr: u32) -> bool {
+        self.rr[self.bank_of(addr)] == master.dense()
     }
 
     /// Arbitrates one cycle in which `master` is the only requester,
@@ -440,10 +395,8 @@ mod tests {
         let grants = ic.arbitrate(&[]);
         assert!(grants.is_empty());
         assert_eq!(ic.requests(), 0);
-        let mut buf = Vec::new();
-        ic.arbitrate_into(&[], &mut buf);
-        assert!(buf.is_empty());
-        assert_eq!(ic.requests(), 0);
+        assert!(!ic.resolve(0));
+        assert_eq!((ic.requests(), ic.grants()), (0, 0));
     }
 
     fn assert_same_state(a: &Interconnect, b: &Interconnect) {
@@ -453,29 +406,72 @@ mod tests {
         assert_eq!(a.rr, b.rr);
     }
 
+    /// Runs one cycle through the mask arbiter, returning the grant
+    /// flag of each request in order.
+    fn mask_arbitrate(ic: &mut Interconnect, reqs: &[BankRequest]) -> Vec<bool> {
+        let first: Vec<bool> = reqs.iter().map(|r| ic.request(r.master, r.addr)).collect();
+        let denied = ic.resolve(reqs.len() as u64);
+        let grants: Vec<bool> = reqs
+            .iter()
+            .zip(first)
+            .map(|(r, f)| f && ic.won(r.master, r.addr))
+            .collect();
+        assert_eq!(denied, grants.iter().any(|&g| !g));
+        grants
+    }
+
     #[test]
-    fn arbitrate_into_matches_reference_over_contended_sequence() {
-        // Drive both arbiters through identical cycles with heavy
-        // same-bank contention; grants, statistics and round-robin
-        // state must stay bitwise identical throughout.
-        let mut reference = Interconnect::new(4);
-        let mut fast = Interconnect::new(4);
-        let mut buf = Vec::new();
-        for cycle in 0..40u32 {
-            let reqs: Vec<BankRequest> = (0..6)
-                .map(|n| {
-                    req(
-                        MasterId::Ntx(n),
-                        (cycle.wrapping_mul(12) + n as u32 * 4) % 64,
-                    )
-                })
-                .chain([req(MasterId::Dma, cycle % 16)])
-                .collect();
-            let expect = reference.arbitrate(&reqs);
-            fast.arbitrate_into(&reqs, &mut buf);
-            assert_eq!(buf, expect, "cycle {cycle}");
-            assert_same_state(&reference, &fast);
+    fn mask_arbiter_matches_reference_every_cycle() {
+        // Every dense index (core, DMA, 62 engines) contends over few
+        // banks, and masters repeat a bank within one cycle; grants,
+        // statistics and round-robin state must match the reference
+        // after every cycle, on power-of-two and odd bank counts up to
+        // the 64 a bank set holds.
+        let masters: Vec<MasterId> = [MasterId::Core, MasterId::Dma]
+            .into_iter()
+            .chain((0..62).map(MasterId::Ntx))
+            .collect();
+        for banks in [4u32, 32, 5, 64] {
+            let mut reference = Interconnect::new(banks);
+            let mut fast = Interconnect::new(banks);
+            let mut s = 0x9e37_79b9_u32;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                s
+            };
+            for cycle in 0..400 {
+                let mut reqs = Vec::new();
+                for &m in &masters {
+                    // 0-3 requests each; the second often repeats the
+                    // first's bank.
+                    let n = next() % 4;
+                    let base = 4 * (next() % (2 * banks));
+                    for k in 0..n {
+                        let addr = if k == 1 && next() % 2 == 0 {
+                            base + 4 * banks
+                        } else {
+                            4 * (next() % (3 * banks))
+                        };
+                        reqs.push(req(m, addr));
+                    }
+                }
+                let expect = reference.arbitrate(&reqs);
+                assert_eq!(
+                    mask_arbitrate(&mut fast, &reqs),
+                    expect,
+                    "{banks} banks, cycle {cycle}"
+                );
+                assert_same_state(&reference, &fast);
+            }
+            assert!(fast.conflicts() > 0 && fast.grants() > 0);
         }
+        // One master hitting one bank twice: the first request wins.
+        let mut ic = Interconnect::new(32);
+        let reqs = [req(MasterId::Ntx(3), 0x80), req(MasterId::Ntx(3), 0x00)];
+        assert_eq!(mask_arbitrate(&mut ic, &reqs), vec![true, false]);
+        assert_eq!((ic.requests(), ic.grants(), ic.conflicts()), (2, 1, 1));
     }
 
     #[test]

@@ -230,12 +230,9 @@ impl Tcdm {
     #[inline]
     pub fn peek_u32(&self, addr: u32) -> u32 {
         let i = self.index(addr & !3);
-        u32::from_le_bytes([
-            self.data[i],
-            self.data[i + 1],
-            self.data[i + 2],
-            self.data[i + 3],
-        ])
+        let mut word = [0; 4];
+        word.copy_from_slice(&self.data[i..i + 4]);
+        u32::from_le_bytes(word)
     }
 
     /// Non-counting debug write of a word (test-bench preloading).

@@ -499,6 +499,34 @@ struct Waiting {
     missing: Vec<u64>,
 }
 
+/// The ids whose completion has been delivered. Ids are handed out in
+/// submission order and mostly finish in it, so the set is a watermark
+/// below which every id is done plus the few done ids above it: it
+/// stays as small as the work in flight instead of growing with every
+/// job served.
+#[derive(Debug, Default)]
+struct DoneIds {
+    below: u64,
+    above: std::collections::HashSet<u64>,
+}
+
+impl DoneIds {
+    /// Records `id`; `false` when it was already recorded.
+    fn insert(&mut self, id: u64) -> bool {
+        if id < self.below || !self.above.insert(id) {
+            return false;
+        }
+        while self.above.remove(&self.below) {
+            self.below += 1;
+        }
+        true
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        id < self.below || self.above.contains(&id)
+    }
+}
+
 /// The continuous worker's farm-side state, grouped so dependency
 /// release can re-enter admission from any point in the loop (a retire
 /// event, or a predecessor that completed during its own admission).
@@ -514,7 +542,7 @@ struct ContinuousState {
     /// Ids whose completion has been delivered (any outcome). The
     /// release gate of the dependency graph: an edge into this set is
     /// satisfied.
-    done: std::collections::HashSet<u64>,
+    done: DoneIds,
     /// Jobs parked on unfinished predecessors.
     waiting: Vec<Waiting>,
 }
@@ -675,7 +703,7 @@ fn continuous_loop(
         table: DurationTable::new(),
         stats: ServingReport::new(config.scale_out.clusters),
         pending: Vec::new(),
-        done: std::collections::HashSet::new(),
+        done: DoneIds::default(),
         waiting: Vec::new(),
     };
     let mut group: Vec<Submission> = Vec::new();
@@ -742,7 +770,7 @@ fn continuous_loop(
                 .deps
                 .iter()
                 .copied()
-                .filter(|d| !st.done.contains(d))
+                .filter(|&d| !st.done.contains(d))
                 .collect();
             if missing.is_empty() {
                 ready.push((job, p));
@@ -814,6 +842,28 @@ fn continuous_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn done_ids_hold_only_the_out_of_order_tail() {
+        let mut done = DoneIds::default();
+        // Ids finish out of order within a window of 16, as jobs in
+        // flight do: every one is recorded once, and only the ids
+        // above the first unfinished one are stored.
+        for base in (0..10_000u64).step_by(16) {
+            for k in (0..16).rev() {
+                assert!(done.insert(base + k));
+                assert!(!done.insert(base + k), "a second finish is a no-op");
+                assert!(done.above.len() <= 16);
+            }
+        }
+        assert_eq!((done.below, done.above.len()), (10_000, 0));
+        assert!(done.contains(0) && done.contains(9_999) && !done.contains(10_000));
+        // A gap keeps every later id above it, still exact.
+        assert!(done.insert(10_002));
+        assert!(done.contains(10_002) && !done.contains(10_001));
+        assert!(done.insert(10_000) && done.insert(10_001));
+        assert_eq!((done.below, done.above.len()), (10_003, 0));
+    }
 
     fn axpy(n: usize, seed: u32) -> JobKind {
         let data = |mut s: u32| -> Vec<f32> {

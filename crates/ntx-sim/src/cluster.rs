@@ -13,7 +13,7 @@ use ntx_riscv::{AccessSize, Bus, BusError, Cpu, Trap};
 /// Static configuration of a cluster instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
-    /// Number of NTX co-processors (paper: 8).
+    /// Number of NTX co-processors (paper: 8; at most 62).
     pub num_ntx: usize,
     /// TCDM geometry (paper: 64 kB in 32 banks).
     pub tcdm: TcdmConfig,
@@ -108,18 +108,14 @@ pub struct Cluster {
     /// ([`Cluster::attribute_fault_stall`]).
     fault_stall_cycles: u64,
     dma_stage: DmaStage,
-    /// Reusable hot-loop buffers (the fast path's replacement for the
-    /// per-cycle `Vec`s of the reference [`Cluster::step`]).
-    req_buf: Vec<BankRequest>,
-    grant_buf: Vec<bool>,
-    span_buf: Vec<(usize, usize)>,
-    plan_buf: Vec<CyclePlan>,
+    /// Per engine, the cycle plan and the bits of its accesses that
+    /// were the engine's first request to their bank (reused buffer).
+    plan_buf: Vec<(CyclePlan, u8)>,
+    /// The DMA's desired addresses this cycle (reused buffer).
     dma_buf: Vec<u32>,
-    /// Grant slice that is always `true` (the all-granted common case).
-    true_buf: Vec<bool>,
-    /// `banks - 1` when the bank count fits a u64 occupancy mask
-    /// (power of two, ≤ 64); `None` disables the fused conflict check.
-    fast_bank_mask: Option<u32>,
+    /// The engine an offload waits on: bursts also stop when it retires
+    /// a command, freeing its staged slot.
+    watch: Option<usize>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -138,11 +134,17 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero engines, bad TCDM
-    /// geometry — see [`Tcdm::new`]).
+    /// Panics on degenerate configurations (zero or more than 62
+    /// engines, more than 64 banks, bad TCDM geometry — see
+    /// [`Tcdm::new`]). The arbiter keeps one bit per master and per
+    /// bank in 64-bit masks.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
-        assert!(config.num_ntx > 0, "cluster needs at least one NTX");
+        assert!(
+            (1..=62).contains(&config.num_ntx),
+            "cluster needs 1 to 62 NTX"
+        );
+        assert!(config.tcdm.banks <= 64, "cluster arbitrates up to 64 banks");
         Self {
             config,
             tcdm: Tcdm::new(config.tcdm),
@@ -171,14 +173,9 @@ impl Cluster {
             ext_remote_wait_cycles: 0,
             fault_stall_cycles: 0,
             dma_stage: DmaStage::default(),
-            req_buf: Vec::new(),
-            grant_buf: Vec::new(),
-            span_buf: Vec::new(),
-            plan_buf: Vec::new(),
+            plan_buf: vec![Default::default(); config.num_ntx],
             dma_buf: Vec::new(),
-            true_buf: Vec::new(),
-            fast_bank_mask: (config.tcdm.banks.is_power_of_two() && config.tcdm.banks <= 64)
-                .then(|| config.tcdm.banks - 1),
+            watch: None,
         }
     }
 
@@ -312,108 +309,82 @@ impl Cluster {
         self.cycle += 1;
     }
 
-    /// One allocation-free simulation cycle: the multi-master leg of the
-    /// burst fast path. Identical semantics to [`Cluster::step`], but
-    /// the request/grant/span lists live in reused buffers and the
-    /// arbiter runs its allocation-free variant with a conflict-free
-    /// bank-mask pre-pass.
-    fn fast_cycle(&mut self) {
-        // Pass 1: plan every engine once and probe a u64 bank-occupancy
-        // mask; without a duplicate bank the whole cycle is granted and
-        // no request list or arbiter run is needed at all.
-        self.plan_buf.clear();
+    /// One simulation cycle on the mask arbiter: the multi-master leg
+    /// of the burst fast path. Identical semantics to [`Cluster::step`],
+    /// without its allocations or its request list: each engine plans
+    /// once, every request sets its master's bit in its bank's mask,
+    /// and each bank's winner is one `trailing_zeros` above its
+    /// round-robin pointer. Without a denial every first request is
+    /// granted and the per-access grant checks are skipped.
+    ///
+    /// `busy` has a bit for each engine with work; the others are idle
+    /// and take no part in the cycle. Returns `true` when one of them
+    /// ran out of work.
+    fn fast_cycle(&mut self, busy: u64) -> bool {
         let mut dma_buf = std::mem::take(&mut self.dma_buf);
         self.dma.desired_accesses_into(&mut dma_buf);
         self.clip_dma_desired(&mut dma_buf);
-        self.dma_buf = dma_buf;
-        if let Some(bmask) = self.fast_bank_mask {
-            let mut n_req = 0u64;
-            let mut occupancy = 0u64;
-            let mut dup = false;
-            for engine in &self.engines {
-                let plan = engine.plan_cycle();
-                for &addr in plan.accesses().addrs() {
-                    let bit = 1u64 << ((addr >> 2) & bmask);
-                    dup |= occupancy & bit != 0;
-                    occupancy |= bit;
-                }
-                n_req += plan.accesses().len() as u64;
-                self.plan_buf.push(plan);
+        let mut requests = dma_buf.len() as u64;
+        let mut bits = busy;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let plan = self.engines[i].plan_cycle();
+            let addrs = plan.accesses().addrs();
+            requests += addrs.len() as u64;
+            // Bits of the accesses that were the engine's first request
+            // to their bank (a repeat is denied).
+            let mut first = 0u8;
+            for (k, &addr) in addrs.iter().enumerate() {
+                first |= u8::from(self.interconnect.request(MasterId::Ntx(i), addr)) << k;
             }
-            for &addr in &self.dma_buf {
-                let bit = 1u64 << ((addr >> 2) & bmask);
-                dup |= occupancy & bit != 0;
-                occupancy |= bit;
-            }
-            if !dup {
-                let dma_words = self.dma_buf.len();
-                self.interconnect
-                    .record_uncontended(n_req + dma_words as u64);
-                for (i, engine) in self.engines.iter_mut().enumerate() {
-                    let plan = &self.plan_buf[i];
-                    if plan.accesses().is_empty() && !engine.is_busy() {
-                        continue;
-                    }
-                    for &addr in plan.accesses().addrs() {
-                        self.interconnect.note_grant(addr, MasterId::Ntx(i));
-                    }
-                    engine.commit_all_granted(plan, &mut self.tcdm);
-                }
-                if dma_words > 0 {
-                    for &addr in &self.dma_buf {
-                        self.interconnect.note_grant(addr, MasterId::Dma);
-                    }
-                    if self.true_buf.len() < dma_words {
-                        self.true_buf.resize(dma_words, true);
-                    }
-                    self.dma
-                        .commit(&self.true_buf[..dma_words], &mut self.tcdm, &mut self.ext);
-                }
-                if n_req > 0 || dma_words > 0 {
-                    self.busy_cycles += 1;
-                }
-                self.cycle += 1;
-                return;
-            }
-        } else {
-            for engine in &self.engines {
-                self.plan_buf.push(engine.plan_cycle());
-            }
+            self.plan_buf[i] = (plan, first);
         }
-        // Contended (or unmaskable geometry): build the request list
-        // from the plans and run the allocation-free arbiter.
-        self.req_buf.clear();
-        self.span_buf.clear();
-        for (i, plan) in self.plan_buf.iter().enumerate() {
-            let start = self.req_buf.len();
-            for &addr in plan.accesses().addrs() {
-                self.req_buf.push(BankRequest {
-                    master: MasterId::Ntx(i),
-                    addr,
-                });
+        // The DMA moves its leading granted words: a repeated bank or a
+        // lost one blocks the words behind it (which still request).
+        let (mut lead, mut leading) = (0, true);
+        for &addr in &dma_buf {
+            leading &= self.interconnect.request(MasterId::Dma, addr);
+            lead += usize::from(leading);
+        }
+        let denied = self.interconnect.resolve(requests);
+        let mut drained = false;
+        let mut bits = busy;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let engine = &mut self.engines[i];
+            let (plan, first) = &self.plan_buf[i];
+            let addrs = plan.accesses().addrs();
+            let granted = if denied {
+                (0..addrs.len()).fold(0, |g, k| {
+                    let won =
+                        first & (1 << k) != 0 && self.interconnect.won(MasterId::Ntx(i), addrs[k]);
+                    g | u8::from(won) << k
+                })
+            } else {
+                *first
+            };
+            if granted == (1 << addrs.len()) - 1 {
+                engine.commit_all_granted(plan, &mut self.tcdm);
+            } else {
+                let flags: [bool; 4] = std::array::from_fn(|k| granted & (1 << k) != 0);
+                engine.commit_planned(plan, &flags[..addrs.len()], &mut self.tcdm);
             }
-            self.span_buf.push((start, self.req_buf.len()));
+            drained |= !engine.is_busy();
         }
-        let dma_start = self.req_buf.len();
-        for &addr in &self.dma_buf {
-            self.req_buf.push(BankRequest {
-                master: MasterId::Dma,
-                addr,
-            });
-        }
-        let any_active = !self.req_buf.is_empty();
-        self.interconnect
-            .arbitrate_into(&self.req_buf, &mut self.grant_buf);
-        for (i, engine) in self.engines.iter_mut().enumerate() {
-            let (a, b) = self.span_buf[i];
-            engine.commit_planned(&self.plan_buf[i], &self.grant_buf[a..b], &mut self.tcdm);
-        }
-        self.dma
-            .commit(&self.grant_buf[dma_start..], &mut self.tcdm, &mut self.ext);
-        if any_active {
+        let beats = dma_buf
+            .iter()
+            .take(lead)
+            .take_while(|&&addr| !denied || self.interconnect.won(MasterId::Dma, addr))
+            .count();
+        self.dma.commit_beats(beats, &mut self.tcdm, &mut self.ext);
+        if requests > 0 {
             self.busy_cycles += 1;
         }
+        self.dma_buf = dma_buf;
         self.cycle += 1;
+        drained
     }
 
     /// Advances the cluster by up to `max_cycles` cycles through the
@@ -422,17 +393,24 @@ impl Cluster {
     ///
     /// The burst stops early at *observable events* — an engine
     /// retiring its last command, a DMA descriptor completing, the DMA
-    /// queue draining — so pollers (the tile pipeline's watermarks,
-    /// [`Cluster::run_to_completion`]) observe exactly the same state
-    /// transitions as with per-cycle stepping. Between events the work
-    /// is dispatched to the cheapest exact path:
+    /// queue draining, and, while an offload waits on an engine's
+    /// staged slot, that engine retiring a command — so pollers (the
+    /// tile pipeline's watermarks, [`Cluster::run_to_completion`], the
+    /// offload paths) observe exactly the same state transitions as
+    /// with per-cycle stepping. Between events the work is dispatched
+    /// to the cheapest exact path:
     ///
     /// * all idle → the cycle counter jumps in one step;
     /// * one engine, DMA idle → [`NtxEngine::burst_sole`] (batched
     ///   conflict-free MAC streaks, per-cycle fallback otherwise);
     /// * DMA only → [`ntx_mem::DmaEngine::burst_sole`] (whole-row
     ///   slices);
-    /// * multiple masters → allocation-free per-cycle stepping.
+    /// * multiple masters → allocation-free cycles on the mask arbiter
+    ///   ([`Interconnect::request`]/[`Interconnect::resolve`]): each
+    ///   request sets its master's bit in its bank's mask, each bank's
+    ///   winner is one `trailing_zeros` above its round-robin pointer,
+    ///   and a cycle without a denial skips the per-access grant
+    ///   checks.
     ///
     /// With [`ClusterConfig::fast_path`] disabled this is exactly one
     /// reference [`Cluster::step`]. Results and counters are
@@ -465,6 +443,7 @@ impl Cluster {
                     &mut self.interconnect,
                     MasterId::Ntx(i),
                     max_cycles,
+                    self.watch == Some(i),
                 );
                 self.cycle += out.cycles;
                 self.busy_cycles += out.accessed_cycles;
@@ -504,26 +483,35 @@ impl Cluster {
                     cycles
                 }
             }
-            _ => {
-                // Contended regime: cycle-accurate stepping without
-                // allocations, chunked until the master set changes or
-                // a descriptor retires.
-                let dma_done0 = self.dma.completed();
-                let mut cycles = 0;
-                while cycles < max_cycles {
-                    self.fast_cycle();
-                    cycles += 1;
-                    let busy_now = self.engines.iter().filter(|e| e.is_busy()).count();
-                    if busy_now != busy
-                        || self.dma.completed() != dma_done0
-                        || self.dma.is_idle() == dma_active
-                    {
-                        break;
-                    }
-                }
-                cycles
+            _ => self.run_contended(max_cycles, dma_active),
+        }
+    }
+
+    /// The multi-master regime of [`Cluster::run_burst`]: live cycles
+    /// on the mask arbiter until an observable event or `max_cycles`.
+    fn run_contended(&mut self, max_cycles: u64, dma_active: bool) -> u64 {
+        let busy = self
+            .engines
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (i, e)| m | u64::from(e.is_busy()) << i);
+        let dma_done = self.dma.completed();
+        let watched = self
+            .watch
+            .map(|i| (i, self.engines[i].commands_completed()));
+        let mut cycles = 0;
+        while cycles < max_cycles {
+            let drained = self.fast_cycle(busy);
+            cycles += 1;
+            if drained
+                || self.dma.completed() != dma_done
+                || self.dma.is_idle() == dma_active
+                || watched.is_some_and(|(i, done)| self.engines[i].commands_completed() != done)
+            {
+                break;
             }
         }
+        cycles
     }
 
     /// Steps the cluster `n` cycles (burst-accelerated when
@@ -594,11 +582,23 @@ impl Cluster {
         assert!(index < self.engines.len(), "engine index out of range");
         self.run_for(writes * self.config.offload_write_cycles);
         self.offload_writes += writes;
-        // Retry while the double buffer is full (one exact cycle per
-        // retry; `run_burst(1)` dispatches it through the fast path).
+        // While the double buffer is full, the core retries every
+        // cycle: the retry succeeds the cycle the engine frees its slot.
         while self.engines[index].offload(config) == EngineStatus::Backpressure {
-            self.run_burst(1);
+            self.wait_for_slot(index);
         }
+    }
+
+    /// Runs until engine `index` retires its current command — the
+    /// cycle its staged slot frees, when an offload's per-cycle retry
+    /// would first succeed.
+    fn wait_for_slot(&mut self, index: usize) {
+        let retired = self.engines[index].commands_completed();
+        self.watch = Some(index);
+        while self.engines[index].commands_completed() == retired {
+            self.run_burst(u64::MAX);
+        }
+        self.watch = None;
     }
 
     /// Broadcast-offloads the same command to every engine (the §II-E
@@ -608,7 +608,7 @@ impl Cluster {
         self.offload_writes += 29;
         for i in 0..self.engines.len() {
             while self.engines[i].offload(config) == EngineStatus::Backpressure {
-                self.run_burst(1);
+                self.wait_for_slot(i);
             }
         }
     }
@@ -902,7 +902,7 @@ impl Bus for Cluster {
                         } else {
                             DmaDirection::TcdmToExt
                         };
-                        self.dma.push(DmaDescriptor {
+                        let desc = DmaDescriptor {
                             ext_addr: (u64::from(s.ext_hi) << 32) | u64::from(s.ext_lo),
                             tcdm_addr: s.tcdm_addr,
                             row_bytes: s.row_bytes,
@@ -910,7 +910,13 @@ impl Bus for Cluster {
                             ext_stride: u64::from(s.ext_stride),
                             tcdm_stride: s.tcdm_stride,
                             dir,
-                        });
+                        };
+                        // A descriptor the engine would refuse is the
+                        // program's error, not the simulator's.
+                        if desc.validate().is_err() {
+                            return Err(BusError::Device { addr });
+                        }
+                        self.dma.push(desc);
                     }
                     _ => return Err(BusError::Device { addr }),
                 }
@@ -1132,24 +1138,30 @@ mod tests {
         // page, and from 2^64 - 4 the first row straddles the top of
         // the address space and the second starts past it, at 4.
         let data = [1.5, 2.5, 3.5, 4.5];
+        let b = map::DMA_BASE;
+        // Stages two 8-byte rows between `ext_addr` and TCDM 0x300.
+        let stage = |cluster: &mut Cluster, ext_addr: u64| {
+            for (reg, value) in [
+                (map::DMA_EXT_LO, ext_addr as u32),
+                (map::DMA_EXT_HI, (ext_addr >> 32) as u32),
+                (map::DMA_TCDM, 0x300),
+                (map::DMA_ROW_BYTES, 8),
+                (map::DMA_ROWS, 2),
+                (map::DMA_EXT_STRIDE, 8),
+                (map::DMA_TCDM_STRIDE, 8),
+            ] {
+                cluster.write(b + reg, AccessSize::Word, value).unwrap();
+            }
+        };
         for ext in [0x100, 1 << 40, u64::MAX - 3] {
             let mut cluster = Cluster::new(ClusterConfig::default());
             cluster.ext_mem().write_f32_slice(ext, &data);
-            let b = map::DMA_BASE;
-            // Moves two 8-byte rows between `ext_addr` and TCDM 0x300.
+            // Moves the staged rows and runs the transfer out.
             let dma = |cluster: &mut Cluster, ext_addr: u64, to_ext: bool| {
-                for (reg, value) in [
-                    (map::DMA_EXT_LO, ext_addr as u32),
-                    (map::DMA_EXT_HI, (ext_addr >> 32) as u32),
-                    (map::DMA_TCDM, 0x300),
-                    (map::DMA_ROW_BYTES, 8),
-                    (map::DMA_ROWS, 2),
-                    (map::DMA_EXT_STRIDE, 8),
-                    (map::DMA_TCDM_STRIDE, 8),
-                    (map::DMA_START, u32::from(to_ext)),
-                ] {
-                    cluster.write(b + reg, AccessSize::Word, value).unwrap();
-                }
+                stage(cluster, ext_addr);
+                cluster
+                    .write(b + map::DMA_START, AccessSize::Word, u32::from(to_ext))
+                    .unwrap();
                 assert_eq!(
                     cluster.read(b + map::DMA_STATUS, AccessSize::Word).unwrap(),
                     1
@@ -1166,6 +1178,40 @@ mod tests {
                 "ext {ext:#x}: {} bytes resident",
                 cluster.ext_mem().resident_bytes()
             );
+        }
+        // A malformed descriptor is a device error on the store that
+        // starts it: nothing is queued, and a well-formed descriptor
+        // after it still round-trips.
+        for (reg, bad) in [
+            (map::DMA_ROW_BYTES, 0),
+            (map::DMA_ROW_BYTES, 6),
+            (map::DMA_TCDM, 2),
+            (map::DMA_EXT_STRIDE, 2),
+        ] {
+            let mut cluster = Cluster::new(ClusterConfig::default());
+            cluster.ext_mem().write_f32_slice(0x100, &data);
+            stage(&mut cluster, 0x100);
+            cluster.write(b + reg, AccessSize::Word, bad).unwrap();
+            assert_eq!(
+                cluster.write(b + map::DMA_START, AccessSize::Word, 0),
+                Err(BusError::Device {
+                    addr: b + map::DMA_START
+                }),
+                "register {reg:#x} = {bad}"
+            );
+            assert!(cluster.dma_idle());
+            stage(&mut cluster, 0x100);
+            cluster
+                .write(b + map::DMA_START, AccessSize::Word, 0)
+                .unwrap();
+            cluster.run_to_completion();
+            assert_eq!(cluster.read_tcdm_f32(0x300, 4), data);
+            stage(&mut cluster, 0x200);
+            cluster
+                .write(b + map::DMA_START, AccessSize::Word, 1)
+                .unwrap();
+            cluster.run_to_completion();
+            assert_eq!(cluster.ext_mem().read_f32_slice(0x200, 4), data);
         }
     }
 

@@ -117,6 +117,12 @@ const STREAK_CHUNK: usize = 64;
 #[derive(Debug, Clone)]
 struct Execution {
     config: NtxConfig,
+    /// The command's datapath operation, TCDM reads per element, flops
+    /// per element and reduction flag, derived once for the hot loop.
+    op: FpuOp,
+    reads: u32,
+    flops: u64,
+    reduction: bool,
     counters: LoopCounters,
     agus: [Agu; 3],
     /// Operand latches (the depth-2 FIFOs of Fig. 2): a granted read is
@@ -174,6 +180,10 @@ impl Execution {
         let store_period = period(config.loops.store_level());
         Self {
             config,
+            op: config.command.fpu_op(),
+            reads: config.command.reads_per_element(),
+            flops: config.command.flops_per_element(),
+            reduction: config.command.is_reduction(),
             counters: LoopCounters::new(config.loops),
             agus: [
                 Agu::new(config.agus[0]),
@@ -329,13 +339,11 @@ impl NtxEngine {
         let Some(exec) = &self.current else {
             return plan;
         };
-        let cmd = exec.config.command;
-        plan.reduction_init = cmd.is_reduction() && exec.at_init();
+        plan.reduction_init = exec.reduction && exec.at_init();
         plan.at_store = exec.at_store();
         plan.needs_init = plan.reduction_init && exec.init_fetch_pending();
-        let reads = cmd.reads_per_element();
-        plan.needs_x = reads >= 1 && exec.latch_x.is_none();
-        plan.needs_y = reads >= 2 && exec.latch_y.is_none();
+        plan.needs_x = exec.reads >= 1 && exec.latch_x.is_none();
+        plan.needs_y = exec.reads >= 2 && exec.latch_y.is_none();
         if plan.needs_init {
             plan.list.push(exec.agus[2].address(), false);
         }
@@ -514,8 +522,7 @@ impl NtxEngine {
         }
         // Partial grants: latch what was granted, retry the rest.
         let exec = self.current.as_mut().expect("checked above");
-        let cmd = exec.config.command;
-        let reads = cmd.reads_per_element();
+        let reads = exec.reads;
         let mut gi = 0;
         let mut take = |flag: bool| {
             if flag {
@@ -537,7 +544,7 @@ impl NtxEngine {
         }
         let store_granted = take(plan.at_store);
         // Ready when nothing is missing any more.
-        let init_pending = cmd.is_reduction() && exec.at_init() && exec.init_fetch_pending();
+        let init_pending = exec.reduction && exec.at_init() && exec.init_fetch_pending();
         let reads_ready = !init_pending
             && (reads < 1 || exec.latch_x.is_some())
             && (reads < 2 || exec.latch_y.is_some());
@@ -569,8 +576,7 @@ impl NtxEngine {
         let Some(exec) = &mut self.current else {
             return;
         };
-        let cmd = exec.config.command;
-        let reads = cmd.reads_per_element();
+        let reads = exec.reads;
         if plan.reduction_init {
             apply_accu_init(&mut self.fpu, exec, tcdm);
         }
@@ -600,8 +606,8 @@ impl NtxEngine {
         let exec = self.current.as_mut().expect("iteration in flight");
         let cmd = exec.config.command;
         let index = exec.counters.index_counter();
-        let out = self.fpu.execute(cmd.fpu_op(), x, y, index);
-        self.flops += cmd.flops_per_element();
+        let out = self.fpu.execute(exec.op, x, y, index);
+        self.flops += exec.flops;
         self.active_cycles += 1;
         if at_store {
             let addr = exec.agus[2].address();
@@ -666,14 +672,18 @@ impl NtxEngine {
     /// potential same-bank conflicts fall back to the cycle-accurate
     /// path. All counters (engine, TCDM, interconnect, round-robin
     /// state) advance by exactly what per-cycle stepping would produce.
+    /// With `stop_at_retire` the burst also ends at the cycle the
+    /// current command retires, freeing the staged slot.
     pub fn burst_sole(
         &mut self,
         tcdm: &mut Tcdm,
         interconnect: &mut Interconnect,
         master: MasterId,
         max_cycles: u64,
+        stop_at_retire: bool,
     ) -> BurstOutcome {
         let mut out = BurstOutcome::default();
+        let retired = self.commands_completed;
         while out.cycles < max_cycles && self.current.is_some() {
             let streak = self.streak_len(tcdm, max_cycles - out.cycles);
             if streak >= MIN_STREAK {
@@ -691,6 +701,9 @@ impl NtxEngine {
             self.commit_planned(&plan, &granted[..plan.accesses().len()], tcdm);
             out.cycles += 1;
             out.accessed_cycles += u64::from(accessed);
+            if stop_at_retire && self.commands_completed != retired {
+                break;
+            }
         }
         out
     }
@@ -1176,7 +1189,7 @@ mod tests {
             // Fast path: burst with a small cap to exercise resumption.
             let mut cycles = 0u64;
             while fast.is_busy() {
-                let out = fast.burst_sole(&mut fast_tcdm, &mut fast_ic, me, 37);
+                let out = fast.burst_sole(&mut fast_tcdm, &mut fast_ic, me, 37, false);
                 assert!(out.cycles > 0);
                 cycles += out.cycles;
                 assert!(cycles < 10_000);

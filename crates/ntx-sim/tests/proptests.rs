@@ -6,7 +6,9 @@
 //! arbitration, stalls and scheduling.
 
 use ntx_fpu::WideAccumulator;
-use ntx_isa::{AccuInit, AguConfig, Command, LoopCounters, LoopNest, NtxConfig, OperandSelect};
+use ntx_isa::{
+    AccuInit, AguConfig, Command, LoopCounters, LoopNest, NtxConfig, OperandSelect, SPILL_BYTES,
+};
 use ntx_mem::{DmaDescriptor, DmaDirection, HmcConfig, HmcSubsystem};
 use ntx_sim::{Cluster, ClusterConfig};
 use proptest::prelude::*;
@@ -115,6 +117,74 @@ fn arb_case() -> impl Strategy<Value = (Command, LoopNest, [AguConfig; 3], f32, 
         })
 }
 
+/// Builds the config of an [`arb_case`].
+fn case_config(
+    (cmd, nest, agus, reg, mem_init): &(Command, LoopNest, [AguConfig; 3], f32, bool),
+) -> NtxConfig {
+    let mut builder = NtxConfig::builder();
+    builder.command(*cmd).loops(*nest).register(*reg).accu_init(
+        if *mem_init && cmd.is_reduction() {
+            AccuInit::Memory
+        } else {
+            AccuInit::Zero
+        },
+    );
+    for (i, a) in agus.iter().enumerate() {
+        builder.agu(i, *a);
+    }
+    builder.build().expect("valid by construction")
+}
+
+/// Commands for the fast-path differential: the random nests of
+/// [`arb_case`], split-K passes that restore and spill the wide
+/// accumulator through AGU 2, and AXPY-shaped memory-init reductions
+/// whose init read and store hit the same AGU 2 address in one
+/// iteration. Bases are random, so engines overlap and race.
+fn arb_config() -> impl Strategy<Value = NtxConfig> {
+    prop_oneof![
+        arb_case().prop_map(|c| case_config(&c)),
+        (
+            1u32..6,
+            1u32..4,
+            0u32..2048,
+            0u32..2048,
+            0u32..2048,
+            any::<bool>()
+        )
+            .prop_map(|(k, n, x, y, z, restore)| {
+                NtxConfig::builder()
+                    .command(Command::Mac {
+                        operand: OperandSelect::Memory,
+                    })
+                    .loops(LoopNest::nested(&[k, n]).with_levels(1, 1))
+                    .agu(0, AguConfig::stream(4 * x, 4))
+                    .agu(1, AguConfig::new(4 * y, [4, 4, 0, 0, 0]))
+                    .agu(2, AguConfig::new(4 * z, [0, SPILL_BYTES as i32, 0, 0, 0]))
+                    .accu_init(if restore {
+                        AccuInit::Wide
+                    } else {
+                        AccuInit::Zero
+                    })
+                    .wide_store(true)
+                    .build()
+                    .expect("valid split-K pass")
+            }),
+        (1u32..12, 0u32..4096, 0u32..4096, -4i32..4).prop_map(|(n, x, y, a)| {
+            NtxConfig::builder()
+                .command(Command::Mac {
+                    operand: OperandSelect::Register,
+                })
+                .register(a as f32 * 0.5)
+                .loops(LoopNest::nested(&[1, n]).with_levels(1, 1))
+                .agu(0, AguConfig::stream(4 * x, 4))
+                .agu(2, AguConfig::new(4 * y, [0, 4, 0, 0, 0]))
+                .accu_init(AccuInit::Memory)
+                .build()
+                .expect("valid axpy")
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -218,79 +288,76 @@ proptest! {
     }
 
     /// The burst fast path is bit-identical to pure per-cycle stepping:
-    /// for random command mixes across several engines (strided walks,
+    /// for random command mixes on 1–8 engines (strided walks,
     /// reductions, elementwise store cadences, register operands,
-    /// memory accumulator init) plus concurrent DMA traffic, both modes
-    /// must agree on the final TCDM image, the cycle counter, and every
-    /// performance counter — including stall and conflict counts.
+    /// memory accumulator init, split-K wide restores and spills), some
+    /// engines with a second command staged behind the first and a
+    /// third offload that waits for the staged slot, DMA traffic in
+    /// either direction, and a second offload wave after the drain —
+    /// where a diverged round-robin pointer would show — both modes
+    /// must agree on the final TCDM and external images, the cycle
+    /// counter, and every performance counter, stall and conflict
+    /// counts included.
     #[test]
     fn fast_path_matches_per_cycle_reference(
-        cases in prop::collection::vec(arb_case(), 1..4),
-        with_dma in any::<bool>(),
+        work in prop::collection::vec((arb_config(), arb_config(), any::<bool>()), 1..=8),
+        dma in 0u8..4,
+        second_wave in any::<bool>(),
     ) {
-        let fast_cfg = ClusterConfig { fast_path: true, ..ClusterConfig::default() };
-        let slow_cfg = ClusterConfig { fast_path: false, ..ClusterConfig::default() };
-        let mut fast = Cluster::new(fast_cfg);
-        let mut slow = Cluster::new(slow_cfg);
         let words = 16_384usize;
-        let image: Vec<f32> = (0..words).map(|i| ((i * 41 % 23) as f32) - 11.0).collect();
-        let ext_image: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25 - 32.0).collect();
-        for c in [&mut fast, &mut slow] {
+        let drive = |fast_path: bool| {
+            let mut c = Cluster::new(ClusterConfig { fast_path, ..ClusterConfig::default() });
+            let image: Vec<f32> = (0..words).map(|i| ((i * 41 % 23) as f32) - 11.0).collect();
+            let ext_image: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25 - 32.0).collect();
             c.write_tcdm_f32(0, &image);
             c.ext_mem().write_f32_slice(0x4000, &ext_image);
             c.ext_mem().reset_counters();
-        }
-        // Drive both clusters through the same offload + DMA sequence.
-        for (engine, (cmd, nest, agus, reg, mem_init)) in cases.iter().enumerate() {
-            let mut builder = NtxConfig::builder();
-            builder
-                .command(*cmd)
-                .loops(*nest)
-                .register(*reg)
-                .accu_init(if *mem_init && cmd.is_reduction() {
-                    AccuInit::Memory
-                } else {
-                    AccuInit::Zero
-                });
-            for (i, a) in agus.iter().enumerate() {
-                builder.agu(i, *a);
+            let push_dma = |c: &mut Cluster| {
+                if dma & 1 != 0 {
+                    c.dma_push(DmaDescriptor::linear(0x4000, 0xa000, 512, DmaDirection::ExtToTcdm));
+                }
+                if dma & 2 != 0 {
+                    c.dma_push(DmaDescriptor {
+                        ext_addr: 0x8000,
+                        tcdm_addr: 0xa200,
+                        row_bytes: 32,
+                        rows: 4,
+                        ext_stride: 48,
+                        tcdm_stride: 32,
+                        dir: DmaDirection::TcdmToExt,
+                    });
+                }
+            };
+            push_dma(&mut c);
+            for (engine, (first, second, staged)) in work.iter().enumerate() {
+                c.offload_with_writes(engine, first, 2);
+                if *staged {
+                    c.offload_with_writes(engine, second, 2);
+                    c.offload_with_writes(engine, first, 2);
+                }
             }
-            let cfg = builder.build().expect("valid by construction");
-            fast.offload_with_writes(engine, &cfg, 2);
-            slow.offload_with_writes(engine, &cfg, 2);
-        }
-        if with_dma {
-            for c in [&mut fast, &mut slow] {
-                c.dma_push(DmaDescriptor::linear(0x4000, 0xa000, 512, DmaDirection::ExtToTcdm));
-                c.dma_push(DmaDescriptor {
-                    ext_addr: 0x8000,
-                    tcdm_addr: 0xa200,
-                    row_bytes: 32,
-                    rows: 4,
-                    ext_stride: 48,
-                    tcdm_stride: 32,
-                    dir: DmaDirection::TcdmToExt,
-                });
+            c.run_to_completion();
+            if second_wave {
+                push_dma(&mut c);
+                for (engine, (first, _, _)) in work.iter().enumerate() {
+                    c.offload_with_writes(engine, first, 1);
+                }
+                c.run_to_completion();
             }
-        }
-        fast.run_to_completion();
-        slow.run_to_completion();
-        // Run a little further: idle bursting must also agree.
-        fast.run_for(100);
-        slow.run_for(100);
-        prop_assert_eq!(fast.cycle(), slow.cycle(), "cycle counters diverged");
-        let (pf, ps) = (fast.perf(), slow.perf());
-        prop_assert_eq!(pf, ps, "performance counters diverged");
-        let got = fast.read_tcdm_f32(0, words);
-        let expect = slow.read_tcdm_f32(0, words);
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            // Run a little further: idle bursting must also agree.
+            c.run_for(100);
+            let tcdm = c.read_tcdm_f32(0, words);
+            let ext = c.ext_mem().read_f32_slice(0x8000, 64);
+            (c.cycle(), c.perf(), tcdm, ext)
+        };
+        let (fc, fp, ft, fe) = drive(true);
+        let (sc, sp, st, se) = drive(false);
+        prop_assert_eq!(fc, sc, "cycle counters diverged");
+        prop_assert_eq!(fp, sp, "performance counters diverged");
+        for (i, (g, e)) in ft.iter().zip(&st).enumerate() {
             prop_assert_eq!(g.to_bits(), e.to_bits(), "TCDM word {} differs", i);
         }
-        if with_dma {
-            let fe = fast.ext_mem().read_f32_slice(0x8000, 64);
-            let se = slow.ext_mem().read_f32_slice(0x8000, 64);
-            prop_assert_eq!(fe, se, "external memory diverged");
-        }
+        prop_assert_eq!(fe, se, "external memory diverged");
     }
 
     /// Under a binding shared-HMC slot schedule the burst fast path
