@@ -467,10 +467,11 @@ pub struct ServerRunStats {
 }
 
 /// The `report-serving` measurement: the layered `ntx-sched` serving
-/// stack exercised end to end — pipelined farm vs barriered reference,
-/// continuous admission vs its barriered same-placement oracle,
-/// analytical estimates, and the async front-end under multi-client
-/// load.
+/// stack exercised end to end — the farm with the whole queue admitted
+/// up front (what `run_queue` runs) and with admission interleaved
+/// (what the server runs), each against the barriered replay of its
+/// placement; the full-width executor; analytical estimates; and the
+/// async front-end under multi-client load.
 #[derive(Debug, Clone)]
 pub struct ServingBenchReport {
     /// Clusters in the farm.
@@ -480,24 +481,26 @@ pub struct ServingBenchReport {
     /// Batch makespan of the same-placement barriered reference,
     /// cycles.
     pub barriered_makespan_cycles: u64,
-    /// Batch makespan of the full-width barriered executor (the
-    /// pre-farm semantics: every job across all clusters, back to
-    /// back) — an independent execution with different tile schedules.
+    /// Batch makespan of the full-width executor (every job across all
+    /// clusters through `run_job`, back to back) — an independent
+    /// execution with different tile schedules.
     pub fullwidth_makespan_cycles: u64,
-    /// Batch makespan of the pipelined farm, cycles.
+    /// Farm makespan with the whole queue admitted before the first
+    /// shard runs (`run_queue`), cycles.
     pub pipelined_makespan_cycles: u64,
     /// `barriered / pipelined` (the inter-job overlap win).
     pub pipelined_speedup: f64,
-    /// `fullwidth / pipelined` (overlap + space sharing vs the old
-    /// executor).
+    /// `fullwidth / pipelined` (overlap + space sharing vs the
+    /// full-width executor).
     pub fullwidth_speedup: f64,
     /// Per-job outputs bitwise identical across all three runs
-    /// (pipelined vs same-placement barriered vs full-width).
+    /// (up-front admission vs its barriered replay vs full-width).
     pub bit_identical: bool,
     /// Per-job `PerfSnapshot`s and makespans identical between the
-    /// same-placement modes.
+    /// up-front admission and its barriered replay.
     pub snapshots_identical: bool,
-    /// Virtual farm makespan of the continuous-admission run, cycles.
+    /// Virtual farm makespan of the run with admission interleaved
+    /// with retires, as the server runs it, cycles.
     pub continuous_makespan_cycles: u64,
     /// Continuous-admission per-job outputs **and** `PerfSnapshot`s
     /// bitwise identical to the barriered oracle replaying the exact
@@ -732,45 +735,51 @@ fn serve_queue(jobs: &[(String, ntx_sched::JobKind)], clusters: usize) -> Server
     }
 }
 
-/// Runs the mixed queue through the synchronous continuous-admission
-/// engine, then replays the *exact* placement it chose into a fresh
-/// barriered farm — the differential oracle. Returns the continuous
-/// virtual makespan and whether per-job outputs and `PerfSnapshot`s
-/// matched bit for bit.
-fn continuous_vs_barriered_oracle(
+/// One drive of the serving mix through continuous admission, plus
+/// its barriered same-placement replay.
+struct FarmRun {
+    /// Per-job results in submission order.
+    results: Vec<ntx_sched::JobResult>,
+    /// Virtual farm makespan, cycles.
+    makespan: u64,
+    /// The barriered replay of the exact placement the drive chose.
+    oracle: ntx_sched::BatchResult,
+}
+
+/// Admits the mixed queue into a fresh farm in submission order,
+/// retiring `steps_between` shard events after each admission (0 is
+/// admit-all-then-drain, what `ScaleOutExecutor::run_queue` does; 2
+/// interleaves as the server does), drains it, then replays the
+/// *exact* placement it chose into a fresh barriered farm — the
+/// differential oracle.
+fn farm_run(
     jobs: &[(String, ntx_sched::JobKind)],
     clusters: usize,
-) -> (u64, bool) {
+    steps_between: usize,
+) -> FarmRun {
     use ntx_sched::{ClusterFarm, DurationTable, Job, JobResult, ScaleOutConfig, SimulatorBackend};
     let config = ScaleOutConfig::with_clusters(clusters);
     let mut sim = SimulatorBackend::new(config);
     let mut table = DurationTable::new();
     let mut placements = Vec::new();
     let mut results: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-    let settle = |r: ntx_sched::ShardRetire,
-                  table: &mut DurationTable,
-                  results: &mut Vec<Option<JobResult>>| {
+    let mut step = |sim: &mut SimulatorBackend, table: &mut DurationTable| {
+        let r = sim.step_farm()?;
         table.observe(r.class, r.est_cycles, r.cycles);
         if let Some(res) = r.result {
             let slot = res.job_id as usize;
             results[slot] = Some(res);
         }
+        Some(())
     };
     for (i, (label, kind)) in jobs.iter().enumerate() {
         let job = Job::new(i as u64, label.clone(), kind.clone());
         placements.push(sim.admit_continuous(&job, &table).expect("admit"));
-        // Interleave a couple of shard events per admission, as the
-        // server does.
-        for _ in 0..2 {
-            if let Some(r) = sim.step_farm() {
-                settle(r, &mut table, &mut results);
-            }
+        for _ in 0..steps_between {
+            step(&mut sim, &mut table);
         }
     }
-    while let Some(r) = sim.step_farm() {
-        settle(r, &mut table, &mut results);
-    }
-    let makespan = sim.farm_makespan();
+    while step(&mut sim, &mut table).is_some() {}
 
     // The oracle: identical placement, barriered accounting
     // (Placement::replay asserts the rebuilt shard count matches).
@@ -781,22 +790,35 @@ fn continuous_vs_barriered_oracle(
         .map(|(i, (label, kind))| {
             let job = Job::new(i as u64, label.clone(), kind.clone());
             placements[i]
-                .replay(&job, farm.cluster(0))
+                .replay(&job, farm.reference_cluster())
                 .expect("replay plan")
         })
         .collect();
-    let oracle = farm.run_batch(placed, false);
-    let identical = oracle.results.iter().enumerate().all(|(i, o)| {
-        let c = results[i].as_ref().expect("continuous result");
-        c.output.len() == o.output.len()
-            && c.output
-                .iter()
-                .zip(&o.output)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && c.report.per_cluster == o.report.per_cluster
-            && c.report.makespan_cycles == o.report.makespan_cycles
-    });
-    (makespan, identical)
+    FarmRun {
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every admitted job retires"))
+            .collect(),
+        makespan: sim.farm_makespan(),
+        oracle: farm.run_batch(placed),
+    }
+}
+
+/// Per-job outputs bitwise equal.
+fn outputs_match(x: &[ntx_sched::JobResult], y: &[ntx_sched::JobResult]) -> bool {
+    x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|(rx, ry)| bits_equal(&rx.output, &ry.output))
+}
+
+/// Per-job `PerfSnapshot`s and makespans equal.
+fn windows_match(x: &[ntx_sched::JobResult], y: &[ntx_sched::JobResult]) -> bool {
+    x.len() == y.len()
+        && x.iter().zip(y).all(|(rx, ry)| {
+            rx.report.per_cluster == ry.report.per_cluster
+                && rx.report.makespan_cycles == ry.report.makespan_cycles
+        })
 }
 
 /// Runs the serving experiment (see [`ServingBenchReport`]).
@@ -807,49 +829,30 @@ fn continuous_vs_barriered_oracle(
 /// drops a job — both indicate scheduler bugs.
 #[must_use]
 pub fn serving_report() -> ServingBenchReport {
-    use ntx_sched::{JobQueue, ScaleOutConfig, ScaleOutExecutor};
+    use ntx_sched::{Job, JobQueue, ScaleOutConfig, ScaleOutExecutor};
     let clusters = 8usize;
     let jobs = serving_jobs();
 
-    // Pipelined farm vs barriered reference, same queue.
-    let fill = |queue: &mut JobQueue| {
-        for (label, kind) in &jobs {
-            queue.job(label.clone()).kind(kind.clone()).submit();
-        }
-    };
-    let mut pipelined = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(clusters));
-    let mut queue = JobQueue::new();
-    fill(&mut queue);
-    let p = pipelined.run_queue(&mut queue).expect("pipelined batch");
-    let mut barriered = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(clusters).barriered());
-    let mut queue = JobQueue::new();
-    fill(&mut queue);
-    let b = barriered.run_queue(&mut queue).expect("barriered batch");
-    // Independent oracle: the pre-farm full-width executor shards
-    // every job across all clusters (different schedules, different
-    // DMA traffic) — outputs must still match bit for bit.
-    let mut full_width = ScaleOutExecutor::new(ScaleOutConfig {
-        space_share: false,
-        ..ScaleOutConfig::with_clusters(clusters).barriered()
-    });
-    let mut queue = JobQueue::new();
-    fill(&mut queue);
-    let f = full_width.run_queue(&mut queue).expect("full-width batch");
-    let outputs_match = |x: &ntx_sched::BatchResult, y: &ntx_sched::BatchResult| {
-        x.results.iter().zip(&y.results).all(|(rx, ry)| {
-            rx.output.len() == ry.output.len()
-                && rx
-                    .output
-                    .iter()
-                    .zip(&ry.output)
-                    .all(|(a, c)| a.to_bits() == c.to_bits())
+    // The queue admitted whole, then drained, against the barriered
+    // replay of the same placement.
+    let pipelined = farm_run(&jobs, clusters, 0);
+    let barriered = &pipelined.oracle;
+    // Independent oracle: the full-width executor shards every job
+    // across all clusters (different schedules, different DMA
+    // traffic), back to back — outputs must still match bit for bit.
+    let mut full = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(clusters));
+    let full_width: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, (label, kind))| {
+            full.run_job(&Job::new(i as u64, label.clone(), kind.clone()))
+                .expect("full-width job")
         })
-    };
-    let bit_identical = outputs_match(&p, &b) && outputs_match(&p, &f);
-    let snapshots_identical = p.results.iter().zip(&b.results).all(|(rp, rb)| {
-        rp.report.per_cluster == rb.report.per_cluster
-            && rp.report.makespan_cycles == rb.report.makespan_cycles
-    });
+        .collect();
+    let fullwidth_makespan_cycles: u64 = full_width.iter().map(|r| r.report.makespan_cycles).sum();
+    let bit_identical = outputs_match(&pipelined.results, &barriered.results)
+        && outputs_match(&pipelined.results, &full_width);
+    let snapshots_identical = windows_match(&pipelined.results, &barriered.results);
 
     // The same queue answered by the analytical backend: instant, and
     // not a single simulator cycle anywhere.
@@ -868,12 +871,15 @@ pub fn serving_report() -> ServingBenchReport {
         .iter()
         .map(|r| r.estimate.expect("estimate per job").cycles)
         .sum();
-    let estimate_sim_cycles = (0..clusters).map(|c| model.cluster(c).cycle()).sum();
+    let estimate_sim_cycles = model.perf_totals().cycles;
 
-    // Continuous admission against its barriered same-placement
-    // oracle: the farm-as-a-service path must not change a single bit.
-    let (continuous_makespan_cycles, continuous_bit_identical) =
-        continuous_vs_barriered_oracle(&jobs, clusters);
+    // Continuous admission interleaved with retires, as the server
+    // runs it, against its barriered same-placement oracle: the
+    // farm-as-a-service path must not change a single bit.
+    let continuous_run = farm_run(&jobs, clusters, 2);
+    let continuous_bit_identical =
+        outputs_match(&continuous_run.results, &continuous_run.oracle.results)
+            && windows_match(&continuous_run.results, &continuous_run.oracle.results);
 
     // The async front-end under multi-client load.
     let continuous = serve_queue(&jobs, clusters);
@@ -886,14 +892,14 @@ pub fn serving_report() -> ServingBenchReport {
     ServingBenchReport {
         clusters,
         jobs: jobs.len(),
-        barriered_makespan_cycles: b.report.makespan_cycles,
-        fullwidth_makespan_cycles: f.report.makespan_cycles,
-        pipelined_makespan_cycles: p.report.makespan_cycles,
-        pipelined_speedup: b.report.makespan_cycles as f64 / p.report.makespan_cycles as f64,
-        fullwidth_speedup: f.report.makespan_cycles as f64 / p.report.makespan_cycles as f64,
+        barriered_makespan_cycles: barriered.report.makespan_cycles,
+        fullwidth_makespan_cycles,
+        pipelined_makespan_cycles: pipelined.makespan,
+        pipelined_speedup: barriered.report.makespan_cycles as f64 / pipelined.makespan as f64,
+        fullwidth_speedup: fullwidth_makespan_cycles as f64 / pipelined.makespan as f64,
         bit_identical,
         snapshots_identical,
-        continuous_makespan_cycles,
+        continuous_makespan_cycles: continuous_run.makespan,
         continuous_bit_identical,
         estimated_cycles_total,
         estimate_sim_cycles,
@@ -960,42 +966,41 @@ pub struct HmcReport {
     pub bit_identical: bool,
 }
 
-/// Runs `clusters` copies of `kind` — one single-shard job per cluster
-/// — through a farm under `memory` and returns the batch makespan,
-/// the aggregate perf counters and each job's output.
-fn hmc_weak_scaling_run(
+/// Runs `clusters` single-shard copies of `kind` under `memory`, job
+/// `i` placed by `place(i) = (cluster, home cube)` and admitted
+/// straight onto the farm, and drains it; returns the farm makespan,
+/// its counter totals (including the remote-traffic attribution) and
+/// each job's output.
+fn placed_single_shard_run(
     kind: &ntx_sched::JobKind,
     clusters: usize,
     memory: ntx_sched::MemoryModel,
+    place: impl Fn(usize) -> (usize, Option<u32>),
 ) -> (u64, PerfSnapshot, Vec<Vec<f32>>) {
     use ntx_sched::{ClusterFarm, Job, JobMeta, PlacedJob, Tiler};
     let mut farm = ClusterFarm::with_memory(clusters, ClusterConfig::default(), memory);
-    let placed: Vec<PlacedJob> = (0..clusters)
-        .map(|c| {
-            let job = Job::new(c as u64, format!("job-{c}"), kind.clone());
-            let mut plans = Tiler::new(1)
-                .plan(&job, farm.cluster(0))
-                .expect("single-shard streaming job");
-            let plan = plans.pop().expect("one plan per shard");
-            PlacedJob {
-                meta: JobMeta {
-                    id: job.id,
-                    label: job.label.clone(),
-                    output_len: job.output_len(),
-                    class: job.kind.class(),
-                    home_cube: None,
-                },
-                shards: vec![(c, plan)],
-            }
-        })
-        .collect();
-    let batch = farm.run_batch(placed, true);
-    let mut perf = PerfSnapshot::default();
-    for p in &batch.report.per_cluster {
-        perf.accumulate(p);
+    for i in 0..clusters {
+        let (cluster, home_cube) = place(i);
+        let mut job = Job::new(i as u64, format!("job-{i}"), kind.clone());
+        job.opts.home_cube = home_cube;
+        let mut plans = Tiler::new(1)
+            .plan(&job, farm.reference_cluster())
+            .expect("single-shard streaming job");
+        let plan = plans.pop().expect("one plan per shard");
+        // Pre-placed: the placement estimates have nothing to steer.
+        let placed = PlacedJob {
+            meta: JobMeta::of(&job),
+            shards: vec![(cluster, plan)],
+        };
+        farm.admit(placed, 0, 0);
     }
-    let outputs = batch.results.into_iter().map(|r| r.output).collect();
-    (batch.report.makespan_cycles, perf, outputs)
+    let mut outputs = vec![Vec::new(); clusters];
+    for retire in farm.drain() {
+        if let Some(done) = retire.result {
+            outputs[done.job_id as usize] = done.output;
+        }
+    }
+    (farm.makespan(), farm.perf_totals(), outputs)
 }
 
 /// Sweeps one workload over `counts` clusters in both memory models.
@@ -1010,9 +1015,11 @@ fn hmc_curve(
     let points = counts
         .iter()
         .map(|&n| {
-            let (ideal, _, out_i) = hmc_weak_scaling_run(kind, n, MemoryModel::Ideal);
+            // One streaming job per cluster, each on its own cluster.
+            let own = |c| (c, None);
+            let (ideal, _, out_i) = placed_single_shard_run(kind, n, MemoryModel::Ideal, own);
             let (contended, perf, out_c) =
-                hmc_weak_scaling_run(kind, n, MemoryModel::SharedHmc(hmc));
+                placed_single_shard_run(kind, n, MemoryModel::SharedHmc(hmc), own);
             let bit_identical = out_i.len() == out_c.len()
                 && out_i.iter().zip(&out_c).all(|(a, b)| {
                     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -1164,43 +1171,6 @@ pub struct MeshReport {
     pub bit_identical: bool,
 }
 
-/// Runs `clusters` single-shard copies of `kind` under `memory`, with
-/// job `i` placed by `place(i) = (cluster, home cube)`, and returns
-/// the batch makespan, the farm's counter totals (including the
-/// remote-traffic attribution) and each job's output.
-fn mesh_scaling_run(
-    kind: &ntx_sched::JobKind,
-    clusters: usize,
-    memory: ntx_sched::MemoryModel,
-    place: impl Fn(usize) -> (usize, Option<u32>),
-) -> (u64, PerfSnapshot, Vec<Vec<f32>>) {
-    use ntx_sched::{ClusterFarm, Job, JobMeta, PlacedJob, Tiler};
-    let mut farm = ClusterFarm::with_memory(clusters, ClusterConfig::default(), memory);
-    let placed: Vec<PlacedJob> = (0..clusters)
-        .map(|i| {
-            let job = Job::new(i as u64, format!("job-{i}"), kind.clone());
-            let mut plans = Tiler::new(1)
-                .plan(&job, farm.cluster(0))
-                .expect("single-shard streaming job");
-            let plan = plans.pop().expect("one plan per shard");
-            let (cluster, home_cube) = place(i);
-            PlacedJob {
-                meta: JobMeta {
-                    id: job.id,
-                    label: job.label.clone(),
-                    output_len: job.output_len(),
-                    class: job.kind.class(),
-                    home_cube,
-                },
-                shards: vec![(cluster, plan)],
-            }
-        })
-        .collect();
-    let batch = farm.run_batch(placed, true);
-    let outputs = batch.results.into_iter().map(|r| r.output).collect();
-    (batch.report.makespan_cycles, farm.perf_totals(), outputs)
-}
-
 /// Sweeps one workload over the `(clusters, cubes)` points.
 fn mesh_curve(
     label: &str,
@@ -1215,10 +1185,11 @@ fn mesh_curve(
             // The block partition the mesh itself uses: the home of
             // cluster i's slice of the data set.
             let cube_of = |i: usize| ((i as u64 * u64::from(cubes)) / n as u64) as u32;
-            let (ideal, _, out_i) = mesh_scaling_run(kind, n, MemoryModel::Ideal, |i| (i, None));
+            let (ideal, _, out_i) =
+                placed_single_shard_run(kind, n, MemoryModel::Ideal, |i| (i, None));
             // Affine: every job homed where its cluster is attached.
             let (affine, perf_a, out_a) =
-                mesh_scaling_run(kind, n, MemoryModel::HmcMesh(mesh_of(cubes)), |i| {
+                placed_single_shard_run(kind, n, MemoryModel::HmcMesh(mesh_of(cubes)), |i| {
                     (i, Some(cube_of(i)))
                 });
             // Naive: same homes, but placement shifts every job one
@@ -1226,7 +1197,7 @@ fn mesh_curve(
             // balances load while ignoring where the data lives.
             let shift = n / cubes as usize;
             let (naive, perf_n, out_n) =
-                mesh_scaling_run(kind, n, MemoryModel::HmcMesh(mesh_of(cubes)), |i| {
+                placed_single_shard_run(kind, n, MemoryModel::HmcMesh(mesh_of(cubes)), |i| {
                     ((i + shift) % n, Some(cube_of(i)))
                 });
             let eq = |a: &Vec<Vec<f32>>, b: &Vec<Vec<f32>>| {
@@ -1439,6 +1410,37 @@ mod tests {
         assert_eq!(served.deadline_misses, 0, "server missed deadlines");
         assert!(served.jobs_per_second > 0.0);
         assert!(served.occupancy > 0.0 && served.occupancy <= 1.0);
+    }
+
+    #[test]
+    fn estimates_assume_the_shard_count_the_farm_places() {
+        // One sizing rule: on an idle farm with a cold duration table,
+        // every analytical answer assumes exactly the shard count the
+        // simulator's admission plans.
+        use ntx_sched::{
+            DurationTable, Job, JobQueue, ScaleOutConfig, ScaleOutExecutor, SimulatorBackend,
+        };
+        let config = ScaleOutConfig::with_clusters(8);
+        let jobs = serving_jobs();
+        let mut queue = JobQueue::new();
+        for (label, kind) in &jobs {
+            queue
+                .job(label.clone())
+                .kind(kind.clone())
+                .estimate()
+                .submit();
+        }
+        let answers = ScaleOutExecutor::new(config)
+            .run_queue(&mut queue)
+            .expect("estimated batch");
+        let mut sim = SimulatorBackend::new(config);
+        let cold = DurationTable::new();
+        for (i, ((label, kind), answer)) in jobs.iter().zip(&answers.results).enumerate() {
+            let job = Job::new(i as u64, label.clone(), kind.clone());
+            let placement = sim.admit_continuous(&job, &cold).expect("admit");
+            let estimate = answer.estimate.expect("estimate per job");
+            assert_eq!(estimate.shards, placement.planned_shards, "{label}");
+        }
     }
 
     #[test]

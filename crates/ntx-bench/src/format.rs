@@ -449,15 +449,17 @@ pub fn simperf(r: &crate::experiments::SimPerfReport) -> String {
 #[must_use]
 pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
     let mut s = String::new();
-    s.push_str("Serving stack — pipelined farm, analytical backend, async front-end\n");
+    s.push_str(
+        "Serving stack — one farm for every queue runner, analytical backend, async front-end\n",
+    );
     s.push_str(&format!(
         "  mixed queue: {} jobs on {} clusters\n",
         r.jobs, r.clusters
     ));
     s.push_str(&format!(
-        "  barriered executor : {:>12} cycles (same placement; {:>8} full-width)\n  \
-         pipelined farm     : {:>12} cycles  ({:.2}x vs barriered, {:.2}x vs full-width, \
-         outputs bit-identical: {}, per-job counters identical: {})\n",
+        "  barriered replay   : {:>12} cycles (same placement; {:>8} full-width)\n  \
+         pipelined farm     : {:>12} cycles  (queue admitted, then drained; {:.2}x vs barriered, \
+         {:.2}x vs full-width, outputs bit-identical: {}, per-job counters identical: {})\n",
         r.barriered_makespan_cycles,
         r.fullwidth_makespan_cycles,
         r.pipelined_makespan_cycles,
@@ -467,8 +469,8 @@ pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
         if r.snapshots_identical { "yes" } else { "NO" },
     ));
     s.push_str(&format!(
-        "  continuous farm    : {:>12} cycles  (graded placement, outputs vs barriered \
-         same-placement oracle bit-identical: {})\n",
+        "  continuous farm    : {:>12} cycles  (admission interleaved with retires, outputs vs \
+         barriered same-placement oracle bit-identical: {})\n",
         r.continuous_makespan_cycles,
         if r.continuous_bit_identical {
             "yes"

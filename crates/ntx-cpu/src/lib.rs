@@ -37,8 +37,8 @@
 //! crosses a band boundary.
 //!
 //! This crate is deliberately scheduler-agnostic — it depends only on
-//! the kernel descriptors and the FPU model. `ntx-sched` adapts it to
-//! the `Backend` trait (`NativeHost`) and dispatches per-job via
+//! the kernel descriptors and the FPU model. `ntx-sched` wraps it as
+//! its `NativeHost` backend and dispatches per-job via
 //! `BackendKind::{NativeFast, NativeExact}`.
 
 #![forbid(unsafe_code)]

@@ -1,20 +1,18 @@
 //! Execution backends: one job queue, several ways to answer it.
 //!
-//! A [`Backend`] owns the three steps of the serving path — **plan
-//! admission** (validate a job and shard it, before any resources are
-//! committed), **launch** (run an admitted batch), and **readback**
-//! (assemble per-job results) — behind one trait, so the same
-//! [`JobQueue`](crate::JobQueue) serves both "simulate exactly" and
-//! "estimate now" requests, selected per job via
-//! [`JobOpts::backend`](crate::JobOpts):
+//! Each job's [`JobOpts::backend`](crate::JobOpts) picks who answers
+//! it; the [`ScaleOutExecutor`](crate::ScaleOutExecutor) owns one of
+//! each and admits every job through the same two steps — a fallible
+//! plan (validate, size, tile) that commits nothing, then a commit:
 //!
 //! * [`SimulatorBackend`] — the bit-accurate path: jobs are tiled by
-//!   the [`Tiler`], placed onto cluster subsets, and executed by the
-//!   [`ClusterFarm`] through the cycle simulator's burst API.
+//!   the [`Tiler`] into graded cluster subsets, placed on the
+//!   least-loaded clusters of the running [`ClusterFarm`], and
+//!   executed through the cycle simulator's burst API.
 //! * [`AnalyticalBackend`] — the instant path: jobs are answered from
 //!   `ntx-model`'s roofline estimates without spending a single
-//!   simulator cycle, useful for admission control and capacity
-//!   planning in front of the farm.
+//!   simulator cycle, sized by the same shard-count rule the farm
+//!   places with.
 //! * [`NativeHost`] — the wire-speed path: jobs execute on the host
 //!   CPU through [`ntx_cpu::NativeBackend`], either with the fast
 //!   multi-accumulator reduction ([`BackendKind::NativeFast`]) or
@@ -26,7 +24,7 @@
 use ntx_mem::MemoryModel;
 use ntx_model::roofline::Roofline;
 
-use crate::executor::{BatchResult, JobResult, ScaleOutConfig};
+use crate::executor::{JobResult, ScaleOutConfig};
 use crate::farm::{ClusterFarm, JobMeta, PlacedJob, ShardRetire};
 use crate::job::{Job, JobClass, JobKind};
 use crate::report::ScaleOutReport;
@@ -75,52 +73,6 @@ pub struct JobEstimate {
     pub compute_bound: bool,
 }
 
-/// A job's work after admission, in backend-specific form.
-#[derive(Debug)]
-pub enum AdmittedWork {
-    /// Sharded tile plans for the simulator farm, plus the analytical
-    /// per-shard cycle estimate the placement heuristic packs with.
-    Tiled {
-        /// One plan per shard (possibly empty for trailing clusters).
-        plans: Vec<ClusterPlan>,
-        /// Estimated cycles per shard, for least-loaded placement.
-        shard_cycles_hint: u64,
-    },
-    /// An analytical estimate; nothing to execute.
-    Estimated(JobEstimate),
-    /// Admitted for native host-CPU execution, carrying the
-    /// EWMA-corrected roofline estimate used for admission control;
-    /// the job itself executes inside
-    /// [`run_batch`](Backend::run_batch).
-    Native(JobEstimate),
-}
-
-/// A job that passed admission, paired with its planned work.
-#[derive(Debug)]
-pub struct AdmittedJob {
-    /// The job (owned; its data has already been captured into the
-    /// plans where the backend needs it).
-    pub job: Job,
-    /// The backend-specific plan.
-    pub work: AdmittedWork,
-}
-
-/// One execution backend: plan admission, launch, readback.
-pub trait Backend {
-    /// Validates `job` and plans its execution without committing any
-    /// resources — a failed admission leaves the backend untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shape`] for inconsistent jobs,
-    /// [`SchedError::Capacity`] when no feasible sharding exists.
-    fn admit(&mut self, job: &Job) -> Result<AdmittedWork, SchedError>;
-
-    /// Launches a batch of admitted jobs and reads their results back,
-    /// in batch order.
-    fn run_batch(&mut self, batch: Vec<AdmittedJob>) -> BatchResult;
-}
-
 /// Roofline estimate for `job` sharded `shards` ways.
 fn estimate_for(job: &Job, shards: usize, roofline: &Roofline, freq_hz: f64) -> JobEstimate {
     let cost = job.cost();
@@ -164,49 +116,40 @@ fn roofline_for(config: &ScaleOutConfig) -> Roofline {
     }
 }
 
-/// The one space-sharing sizing rule, shared by both backends so the
-/// analytical estimates always assume the sharding the simulator
-/// actually places: enough shards that each carries roughly
-/// `target_shard_cycles` of estimated work, capped at the farm width.
-/// With `space_share` disabled every job spans all clusters.
-fn heuristic_shards(
+/// Estimated cycles of work one shard should carry before the sizing
+/// rule adds another cluster to a job.
+const TARGET_SHARD_CYCLES: u64 = 4096;
+
+/// The one shard-count rule, shared by farm placement and the
+/// analytical backend so an estimate always assumes the sharding the
+/// simulator places: enough shards that each carries roughly
+/// [`TARGET_SHARD_CYCLES`] of the job's roofline estimate, bent by the
+/// class correction `table` has learned, graded over `1..=clusters`.
+fn graded_shards(
     job: &Job,
-    config: &ScaleOutConfig,
+    table: &DurationTable,
     roofline: &Roofline,
     freq_hz: f64,
+    clusters: usize,
 ) -> usize {
-    if !config.space_share {
-        return config.clusters;
-    }
     let est1 = estimate_for(job, 1, roofline, freq_hz);
-    let shards = est1
-        .cycles
-        .div_ceil(config.target_shard_cycles.max(1))
-        .clamp(1, config.clusters as u64) as usize;
-    // Snap to one cluster or the whole farm. Mid-size subsets (3 of 8
-    // clusters) look attractive per job but pack badly across a batch
-    // — the analytical estimate is only accurate to tens of percent,
-    // so coarse multi-cluster shards lump onto a critical cluster and
-    // the batch loses to plain full-width sharding. Tiny jobs on one
-    // cluster fill the slack of full-width jobs instead.
-    if shards > 1 {
-        config.clusters
-    } else {
-        1
-    }
+    table
+        .corrected_cycles(job.kind.class(), est1.cycles)
+        .div_ceil(TARGET_SHARD_CYCLES)
+        .clamp(1, clusters as u64) as usize
 }
 
 /// Per-[`JobClass`] EWMA of measured versus estimated shard cycles —
-/// the measured-duration feedback that graduates placement from
-/// snap-to-{1, farm} to graded cluster subsets. The roofline estimate
+/// the measured-duration feedback that sizes and places graded cluster
+/// subsets. The roofline estimate
 /// under-predicts real shard durations by tens of percent (it ignores
 /// banking conflicts, DMA ramp-up and tile-boundary overheads), and by
 /// different amounts per job family; each retired shard contributes
 /// its observed `measured / estimated` ratio, so after a handful of
 /// jobs per class the corrected estimates are accurate enough to pack
 /// mid-size cluster subsets without lumping onto a critical cluster.
-/// Seeded at 1.0 — i.e. pure roofline — so a cold table behaves
-/// exactly like the estimate-only heuristic.
+/// Seeded at 1.0 — i.e. pure roofline — so a cold table sizes jobs
+/// exactly as the analytical backend does.
 #[derive(Debug, Clone)]
 pub struct DurationTable {
     ratio: [f64; JobClass::COUNT],
@@ -273,8 +216,8 @@ impl DurationTable {
     }
 }
 
-/// Where a continuous admission landed: enough to replay the exact
-/// same placement into a barriered [`ClusterFarm::run_batch`] (the
+/// Where a job landed on the farm: enough to replay the exact same
+/// placement into the barriered [`ClusterFarm::run_batch`] (the
 /// differential oracle) — the tiler shard count reproduces the plans,
 /// the cluster list reproduces the assignment.
 #[derive(Debug, Clone)]
@@ -291,7 +234,7 @@ pub struct Placement {
 
 impl Placement {
     /// Rebuilds the [`PlacedJob`] this placement describes, for a
-    /// barriered replay of the continuous run: re-tiles `job` at the
+    /// barriered replay of the farm run: re-tiles `job` at the
     /// recorded shard count against `reference` (any cluster of the
     /// same configuration) and zips the non-empty plans onto the
     /// recorded cluster list — the single definition of the
@@ -317,26 +260,19 @@ impl Placement {
             "replay must reproduce the recorded shard count"
         );
         Ok(PlacedJob {
-            meta: JobMeta {
-                id: job.id,
-                label: job.label.clone(),
-                output_len: job.output_len(),
-                class: job.kind.class(),
-                home_cube: job.opts.home_cube,
-            },
+            meta: JobMeta::of(job),
             shards: self.clusters.iter().copied().zip(nonempty).collect(),
         })
     }
 }
 
-/// A planned-but-uncommitted continuous admission: the tiled shard
-/// plans, their target clusters, and the placement estimates. Internal
-/// split of plan/commit that lets deadline shedding reject a job
-/// before it touches the farm.
+/// The fallible half of a farm admission: the job validated, sized and
+/// tiled, with its placement estimates. Everything but the choice of
+/// clusters, which depends on the loads the previous commit left —
+/// so a caller can plan a whole batch before placing any of it.
 #[derive(Debug)]
-struct ContinuousPlan {
+pub(crate) struct TiledJob {
     nonempty: Vec<ClusterPlan>,
-    chosen: Vec<usize>,
     hint: u64,
     per_shard: u64,
     planned_shards: usize,
@@ -364,42 +300,6 @@ impl SimulatorBackend {
         }
     }
 
-    /// Read-only access to cluster `index` (test/report introspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn cluster(&self, index: usize) -> &ntx_sim::Cluster {
-        self.farm.cluster(index)
-    }
-
-    /// Plans `job` across **all** clusters, ignoring the space-sharing
-    /// heuristic — the single-job strong-scaling path
-    /// ([`ScaleOutExecutor::run_job`](crate::ScaleOutExecutor::run_job)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tiler errors.
-    pub fn admit_full_width(&self, job: &Job) -> Result<Vec<ClusterPlan>, SchedError> {
-        Tiler::new(self.config.clusters).plan(job, self.farm.reference_cluster())
-    }
-
-    /// Runs one admitted job, sharded plan `i` on cluster `i` (the
-    /// full-width identity placement).
-    #[must_use]
-    pub fn run_single(&mut self, meta: JobMeta, plans: Vec<ClusterPlan>) -> JobResult {
-        let shards = plans
-            .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        let mut batch = self
-            .farm
-            .run_batch(vec![PlacedJob { meta, shards }], self.config.pipelined);
-        batch.results.pop().expect("one result per placed job")
-    }
-
     /// Tiles `job` at `shards` shards, retrying wider on TCDM capacity
     /// failures until the farm width is exhausted; returns the plans
     /// and the shard count that fit.
@@ -420,30 +320,13 @@ impl SimulatorBackend {
         }
     }
 
-    /// Chooses the shard count for `job`: enough shards that each
-    /// carries roughly `target_shard_cycles` of estimated work (so
-    /// small jobs leave clusters free for space sharing), grown until
-    /// the shards fit the TCDM, capped at the cluster count. With
-    /// `space_share` disabled every job spans all clusters.
-    fn admit_tiled(&self, job: &Job) -> Result<AdmittedWork, SchedError> {
-        let freq = self.config.cluster.ntx_freq_hz;
-        let want = heuristic_shards(job, &self.config, &self.roofline, freq);
-        let (plans, shards) = self.tile_with_retry(job, want)?;
-        let est = estimate_for(job, shards, &self.roofline, freq);
-        Ok(AdmittedWork::Tiled {
-            plans,
-            shard_cycles_hint: est.cycles,
-        })
-    }
-
-    /// Admits `job` into the *running* farm (continuous mode): plans a
-    /// **graded** shard count from the measured-duration table —
-    /// `corrected cycles / target_shard_cycles`, any value in
-    /// `1..=clusters`, not snap-to-{1, farm} — and assigns the shards
-    /// to the least-loaded clusters right now. The job starts the
-    /// moment those clusters free up; no wave boundary is involved.
-    /// Returns the placement so callers can log it or replay it into
-    /// the barriered oracle.
+    /// Admits `job` into the *running* farm: sizes a **graded** shard
+    /// count from the measured-duration table — corrected cycles per
+    /// 4096-cycle shard, any value in `1..=live clusters` — and assigns
+    /// the shards to the least-loaded clusters right now. The job
+    /// starts the moment those clusters free up; no wave boundary is
+    /// involved. Returns the placement so callers can log it or replay
+    /// it into the barriered oracle.
     ///
     /// # Errors
     ///
@@ -454,8 +337,7 @@ impl SimulatorBackend {
         job: &Job,
         table: &DurationTable,
     ) -> Result<Placement, SchedError> {
-        let plan = self.plan_continuous(job, table)?;
-        Ok(self.commit_continuous(job, plan))
+        self.admit_continuous_within(job, table, None)
     }
 
     /// [`admit_continuous`](Self::admit_continuous) with deadline
@@ -476,21 +358,68 @@ impl SimulatorBackend {
         table: &DurationTable,
         deadline_cycles: Option<u64>,
     ) -> Result<Placement, SchedError> {
-        let plan = self.plan_continuous(job, table)?;
+        let tiled = self.plan(job, table)?;
+        self.place(job, tiled, deadline_cycles)
+    }
+
+    /// How many clusters can take new work: dead clusters take none,
+    /// so jobs are sized against the survivors.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Capacity`] when a kill left no cluster alive.
+    fn live_count(&self) -> Result<usize, SchedError> {
+        match self.farm.num_alive() {
+            0 => Err(SchedError::Capacity(
+                "no live clusters remain in the farm".into(),
+            )),
+            n => Ok(n),
+        }
+    }
+
+    /// The fallible half of admission: validates `job`, sizes its
+    /// graded shard count over the live clusters and tiles it.
+    /// Read-only on the farm.
+    pub(crate) fn plan(&self, job: &Job, table: &DurationTable) -> Result<TiledJob, SchedError> {
+        job.validate()?;
+        let alive = self.live_count()?;
+        let freq = self.config.cluster.ntx_freq_hz;
+        let want = graded_shards(job, table, &self.roofline, freq, alive);
+        let (plans, planned_shards) = self.tile_with_retry(job, want)?;
+        let per_shard = estimate_for(job, planned_shards, &self.roofline, freq).cycles;
+        Ok(TiledJob {
+            nonempty: plans.into_iter().filter(|p| !p.is_empty()).collect(),
+            hint: table.corrected_cycles(job.kind.class(), per_shard),
+            per_shard,
+            planned_shards,
+        })
+    }
+
+    /// The commit half of admission: chooses the clusters for a
+    /// [`plan`](Self::plan)ned job, sheds it when `deadline_cycles` is
+    /// provably unmeetable (leaving the farm untouched), and queues its
+    /// shards on the farm.
+    pub(crate) fn place(
+        &mut self,
+        job: &Job,
+        tiled: TiledJob,
+        deadline_cycles: Option<u64>,
+    ) -> Result<Placement, SchedError> {
+        let chosen = self.choose(job, tiled.nonempty.len());
         if let Some(deadline) = deadline_cycles {
             let now = self.farm.virtual_now();
             // Per chosen cluster the job's shards append to the queue:
             // its k-th shard there retires at load + k * hint.
             let mut finish = now;
             let mut backlog: Vec<(usize, u64)> = Vec::new();
-            for &c in &plan.chosen {
+            for &c in &chosen {
                 let entry = match backlog.iter_mut().find(|(b, _)| *b == c) {
                     Some(e) => {
-                        e.1 += plan.hint;
+                        e.1 += tiled.hint;
                         e.1
                     }
                     None => {
-                        let f = self.farm.load(c) + plan.hint;
+                        let f = self.farm.load(c) + tiled.hint;
                         backlog.push((c, f));
                         f
                     }
@@ -505,53 +434,34 @@ impl SimulatorBackend {
                 });
             }
         }
-        Ok(self.commit_continuous(job, plan))
+        self.farm.admit(
+            PlacedJob {
+                meta: JobMeta::of(job),
+                shards: chosen.iter().copied().zip(tiled.nonempty).collect(),
+            },
+            tiled.hint,
+            tiled.per_shard,
+        );
+        Ok(Placement {
+            planned_shards: tiled.planned_shards,
+            clusters: chosen,
+            shard_cycles: tiled.hint,
+        })
     }
 
-    /// Plans `job` for continuous admission without committing it:
-    /// chooses the graded shard count, tiles, and picks the target
-    /// clusters. Read-only on the farm, so a rejected plan (deadline
-    /// shedding) leaves no trace.
-    fn plan_continuous(
-        &self,
-        job: &Job,
-        table: &DurationTable,
-    ) -> Result<ContinuousPlan, SchedError> {
-        job.validate()?;
-        let freq = self.config.cluster.ntx_freq_hz;
-        let class = job.kind.class();
-        // Dead clusters take no new work: plan against the survivors.
-        let alive: Vec<usize> = (0..self.config.clusters)
+    /// The clusters `shards` shards of `job` go to, ascending:
+    /// least-loaded live clusters first, ascending-index ties keeping
+    /// placement deterministic. On a mesh with affinity enabled the
+    /// primary key is data locality: clusters attached to the job's
+    /// home cube win over less-loaded remote ones, so shards cross a
+    /// serial link only when the home cube has no ports left to give.
+    /// When a capacity retry produced more shards than live clusters
+    /// (possible only after a kill), the assignment wraps — several
+    /// shards of one job then queue on the same surviving cluster.
+    fn choose(&self, job: &Job, shards: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.config.clusters)
             .filter(|&c| self.farm.is_alive(c))
             .collect();
-        if alive.is_empty() {
-            return Err(SchedError::Capacity(
-                "no live clusters remain in the farm".into(),
-            ));
-        }
-        let want = if self.config.space_share {
-            let est1 = estimate_for(job, 1, &self.roofline, freq);
-            let corrected = table.corrected_cycles(class, est1.cycles);
-            corrected
-                .div_ceil(self.config.target_shard_cycles.max(1))
-                .clamp(1, alive.len() as u64) as usize
-        } else {
-            alive.len()
-        };
-        let (plans, planned_shards) = self.tile_with_retry(job, want)?;
-        let per_shard = estimate_for(job, planned_shards, &self.roofline, freq).cycles;
-        let hint = table.corrected_cycles(class, per_shard);
-        let nonempty: Vec<ClusterPlan> = plans.into_iter().filter(|p| !p.is_empty()).collect();
-        // Least-loaded clusters take the shards; ascending-index ties
-        // keep placement deterministic. On a mesh with affinity enabled
-        // the primary key is data locality: clusters attached to the
-        // job's home cube win over less-loaded remote ones, so shards
-        // cross a serial link only when the home cube has no ports
-        // left to give. When a capacity retry produced more shards
-        // than live clusters (possible only after a kill), the
-        // assignment wraps — several shards of one job then queue on
-        // the same surviving cluster.
-        let mut order = alive;
         if self.config.affinity {
             order.sort_by_key(|&c| {
                 (
@@ -563,48 +473,45 @@ impl SimulatorBackend {
         } else {
             order.sort_by_key(|&c| (self.farm.load(c), c));
         }
-        let mut chosen: Vec<usize> = (0..nonempty.len())
-            .map(|i| order[i % order.len()])
-            .collect();
+        let mut chosen: Vec<usize> = (0..shards).map(|i| order[i % order.len()]).collect();
         chosen.sort_unstable();
-        Ok(ContinuousPlan {
-            nonempty,
-            chosen,
-            hint,
-            per_shard,
-            planned_shards,
-        })
+        chosen
     }
 
-    /// Commits a [`plan_continuous`](Self::plan_continuous) result
-    /// into the running farm.
-    fn commit_continuous(&mut self, job: &Job, plan: ContinuousPlan) -> Placement {
-        let meta = JobMeta {
-            id: job.id,
-            label: job.label.clone(),
-            output_len: job.output_len(),
-            class: job.kind.class(),
-            home_cube: job.opts.home_cube,
-        };
+    /// Queues `job` across every live cluster, plan `i` on the `i`-th
+    /// — the full-width strong-scaling placement of
+    /// [`ScaleOutExecutor::run_job`](crate::ScaleOutExecutor::run_job).
+    /// Its shards carry no estimate, so their retires teach the
+    /// duration table nothing.
+    pub(crate) fn place_full_width(&mut self, job: &Job) -> Result<(), SchedError> {
+        let plans = Tiler::new(self.live_count()?).plan(job, self.farm.reference_cluster())?;
+        let shards = (0..self.config.clusters)
+            .filter(|&c| self.farm.is_alive(c))
+            .zip(plans)
+            .filter(|(_, p)| !p.is_empty())
+            .collect();
         self.farm.admit(
             PlacedJob {
-                meta,
-                shards: plan.chosen.iter().copied().zip(plan.nonempty).collect(),
+                meta: JobMeta::of(job),
+                shards,
             },
-            plan.hint,
-            plan.per_shard,
+            0,
+            0,
         );
-        Placement {
-            planned_shards: plan.planned_shards,
-            clusters: plan.chosen,
-            shard_cycles: plan.hint,
-        }
+        Ok(())
     }
 
     /// Retires the next shard of the continuously-admitted farm (see
     /// [`ClusterFarm::step`]); `None` when the farm is idle.
     pub fn step_farm(&mut self) -> Option<ShardRetire> {
         self.farm.step()
+    }
+
+    /// Ids of the jobs the farm failed since the last call because no
+    /// cluster survived to run their shards (see
+    /// [`ClusterFarm::take_lost`]).
+    pub(crate) fn take_lost(&mut self) -> Vec<u64> {
+        self.farm.take_lost()
     }
 
     /// True when continuously-admitted shards are still queued.
@@ -655,86 +562,9 @@ impl SimulatorBackend {
     }
 }
 
-impl Backend for SimulatorBackend {
-    fn admit(&mut self, job: &Job) -> Result<AdmittedWork, SchedError> {
-        self.admit_tiled(job)
-    }
-
-    /// Places each job's shards on the least-loaded clusters by the
-    /// admission estimate, assigning in LPT order (heaviest shards
-    /// first, ties by submission) so the greedy packing stays balanced
-    /// — execution and results keep submission order. Placement is a
-    /// pure, deterministic function of the batch, so the pipelined run
-    /// and the barriered oracle place identically and stay
-    /// bit-comparable per job.
-    fn run_batch(&mut self, batch: Vec<AdmittedJob>) -> BatchResult {
-        let n = self.config.clusters;
-        struct Item {
-            meta: JobMeta,
-            shards: Vec<ClusterPlan>,
-            hint: u64,
-        }
-        let items: Vec<Item> = batch
-            .into_iter()
-            .filter_map(|AdmittedJob { job, work }| {
-                let AdmittedWork::Tiled {
-                    plans,
-                    shard_cycles_hint,
-                } = work
-                else {
-                    debug_assert!(false, "estimate admitted to the simulator backend");
-                    return None;
-                };
-                Some(Item {
-                    meta: JobMeta {
-                        id: job.id,
-                        label: job.label.clone(),
-                        output_len: job.output_len(),
-                        class: job.kind.class(),
-                        home_cube: job.opts.home_cube,
-                    },
-                    shards: plans.into_iter().filter(|p| !p.is_empty()).collect(),
-                    hint: shard_cycles_hint,
-                })
-            })
-            .collect();
-        let mut by_weight: Vec<usize> = (0..items.len()).collect();
-        by_weight.sort_by_key(|&i| (std::cmp::Reverse(items[i].hint), i));
-        let mut load = vec![0u64; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut chosen_for: Vec<Vec<usize>> = vec![Vec::new(); items.len()];
-        for &i in &by_weight {
-            order.clear();
-            order.extend(0..n);
-            if self.config.affinity {
-                let (id, home) = (items[i].meta.id, items[i].meta.home_cube);
-                order.sort_by_key(|&c| (self.farm.remote_penalty(c, id, home), load[c], c));
-            } else {
-                order.sort_by_key(|&c| (load[c], c));
-            }
-            let mut chosen: Vec<usize> = order[..items[i].shards.len()].to_vec();
-            chosen.sort_unstable();
-            for &c in &chosen {
-                load[c] += items[i].hint;
-            }
-            chosen_for[i] = chosen;
-        }
-        let placed = items
-            .into_iter()
-            .zip(chosen_for)
-            .map(|(item, chosen)| PlacedJob {
-                meta: item.meta,
-                shards: chosen.into_iter().zip(item.shards).collect(),
-            })
-            .collect();
-        self.farm.run_batch(placed, self.config.pipelined)
-    }
-}
-
 /// The instant backend: answers from the roofline model.
 #[derive(Debug)]
 pub struct AnalyticalBackend {
-    config: ScaleOutConfig,
     clusters: usize,
     freq_hz: f64,
     roofline: Roofline,
@@ -745,60 +575,37 @@ impl AnalyticalBackend {
     #[must_use]
     pub fn new(config: &ScaleOutConfig) -> Self {
         Self {
-            config: *config,
             clusters: config.clusters,
             freq_hz: config.cluster.ntx_freq_hz,
             roofline: roofline_for(config),
         }
     }
 
-    fn shards_for(&self, job: &Job) -> usize {
-        heuristic_shards(job, &self.config, &self.roofline, self.freq_hz)
-    }
-}
-
-impl Backend for AnalyticalBackend {
-    fn admit(&mut self, job: &Job) -> Result<AdmittedWork, SchedError> {
+    /// Answers `job` from the roofline model, sharded as the farm
+    /// would place it on idle clusters with a cold duration table
+    /// (correction 1.0). Spends no simulator cycle: the result carries
+    /// the estimate and no output data.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Shape`] for inconsistent jobs.
+    pub fn run(&self, job: &Job) -> Result<JobResult, SchedError> {
         job.validate()?;
-        let shards = self.shards_for(job);
-        Ok(AdmittedWork::Estimated(estimate_for(
-            job,
-            shards,
-            &self.roofline,
-            self.freq_hz,
-        )))
-    }
-
-    fn run_batch(&mut self, batch: Vec<AdmittedJob>) -> BatchResult {
-        let results: Vec<JobResult> = batch
-            .into_iter()
-            .map(|AdmittedJob { job, work }| {
-                let est = match work {
-                    AdmittedWork::Estimated(e) => e,
-                    AdmittedWork::Tiled { .. } | AdmittedWork::Native(_) => {
-                        debug_assert!(false, "foreign plan admitted to the analytical backend");
-                        estimate_for(&job, 1, &self.roofline, self.freq_hz)
-                    }
-                };
-                let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
-                report.makespan_cycles = est.cycles;
-                JobResult {
-                    job_id: job.id,
-                    label: job.label,
-                    output: Vec::new(),
-                    report,
-                    start_cycle: 0,
-                    finish_cycle: est.cycles,
-                    estimate: Some(est),
-                    backend: BackendKind::Estimate,
-                }
-            })
-            .collect();
-        // Estimates spend no simulated time: the batch window is empty.
-        BatchResult {
-            results,
-            report: ScaleOutReport::new(self.clusters, self.freq_hz),
-        }
+        let cold = DurationTable::new();
+        let shards = graded_shards(job, &cold, &self.roofline, self.freq_hz, self.clusters);
+        let est = estimate_for(job, shards, &self.roofline, self.freq_hz);
+        let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
+        report.makespan_cycles = est.cycles;
+        Ok(JobResult {
+            job_id: job.id,
+            label: job.label.clone(),
+            output: Vec::new(),
+            report,
+            start_cycle: 0,
+            finish_cycle: est.cycles,
+            estimate: Some(est),
+            backend: BackendKind::Estimate,
+        })
     }
 }
 
@@ -819,8 +626,7 @@ impl Backend for AnalyticalBackend {
 ///
 /// Exact mode ([`BackendKind::NativeExact`]) produces outputs
 /// bit-identical to [`SimulatorBackend`] on every job kind; raw
-/// command-stream jobs have no native lowering and are rejected at
-/// admission.
+/// command-stream jobs have no native lowering and are rejected.
 #[derive(Debug)]
 pub struct NativeHost {
     engine: ntx_cpu::NativeBackend,
@@ -862,6 +668,67 @@ impl NativeHost {
         &self.table
     }
 
+    /// Admission check of the native backends: `job` must be valid
+    /// and have a native lowering.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Shape`] for inconsistent jobs and for raw NTX
+    /// command streams.
+    pub(crate) fn check(job: &Job) -> Result<(), SchedError> {
+        job.validate()?;
+        if matches!(job.kind, JobKind::Raw(_)) {
+            return Err(SchedError::Shape(
+                "raw NTX command streams have no native lowering; \
+                 submit them with BackendKind::Simulate"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Executes `job` on the host CPU. The measured wall-clock
+    /// duration becomes the result's makespan (in NTX cycles at the
+    /// cluster clock) and is folded into the calibration EWMA against
+    /// the **raw** roofline estimate — same discipline as the farm's
+    /// placement feedback. The result carries the estimate admission
+    /// predicted: the unsharded roofline (the backend runs each job as
+    /// one unit; threading is internal) bent by the learned wall-clock
+    /// ratio of the job's class.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Shape`] for inconsistent jobs and for raw NTX
+    /// command streams, which have no native lowering.
+    pub fn run(&mut self, job: &Job) -> Result<JobResult, SchedError> {
+        Self::check(job)?;
+        let class = job.kind.class();
+        let raw = estimate_for(job, 1, &self.roofline, self.freq_hz);
+        let cycles = self.table.corrected_cycles(class, raw.cycles);
+        let est = JobEstimate {
+            cycles,
+            seconds: cycles as f64 / self.freq_hz,
+            ..raw
+        };
+        let t0 = std::time::Instant::now();
+        let output = self.execute(job);
+        let wall = t0.elapsed().as_secs_f64();
+        let measured = ((wall * self.freq_hz).round() as u64).max(1);
+        self.table.observe(class, raw.cycles, measured);
+        let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
+        report.makespan_cycles = measured;
+        Ok(JobResult {
+            job_id: job.id,
+            label: job.label.clone(),
+            output,
+            report,
+            start_cycle: 0,
+            finish_cycle: measured,
+            estimate: Some(est),
+            backend: self.kind,
+        })
+    }
+
     fn execute(&self, job: &Job) -> Vec<f32> {
         match &job.kind {
             JobKind::Axpy { a, x, y } => self.engine.axpy(*a, x, y),
@@ -878,77 +745,7 @@ impl NativeHost {
             } => self
                 .engine
                 .stencil2d(*height as usize, *width as usize, grid),
-            JobKind::Raw(_) => {
-                debug_assert!(false, "raw job admitted to the native backend");
-                Vec::new()
-            }
-        }
-    }
-}
-
-impl Backend for NativeHost {
-    fn admit(&mut self, job: &Job) -> Result<AdmittedWork, SchedError> {
-        job.validate()?;
-        if matches!(job.kind, JobKind::Raw(_)) {
-            return Err(SchedError::Shape(
-                "raw NTX command streams have no native lowering; \
-                 submit them with BackendKind::Simulate"
-                    .into(),
-            ));
-        }
-        // The native backend runs each job as one unit (threading is
-        // internal), so the estimate is the unsharded roofline bent by
-        // the learned wall-clock ratio of this job class.
-        let raw = estimate_for(job, 1, &self.roofline, self.freq_hz);
-        let cycles = self.table.corrected_cycles(job.kind.class(), raw.cycles);
-        Ok(AdmittedWork::Native(JobEstimate {
-            cycles,
-            seconds: cycles as f64 / self.freq_hz,
-            ..raw
-        }))
-    }
-
-    /// Executes each admitted job on the host CPU in batch order. The
-    /// measured wall-clock duration becomes the result's makespan (in
-    /// NTX cycles at the cluster clock) and is folded into the
-    /// calibration EWMA against the **raw** roofline estimate — same
-    /// discipline as the farm's placement feedback.
-    fn run_batch(&mut self, batch: Vec<AdmittedJob>) -> BatchResult {
-        let results: Vec<JobResult> = batch
-            .into_iter()
-            .map(|AdmittedJob { job, work }| {
-                let est = match work {
-                    AdmittedWork::Native(e) => e,
-                    AdmittedWork::Tiled { .. } | AdmittedWork::Estimated(_) => {
-                        debug_assert!(false, "foreign plan admitted to the native backend");
-                        estimate_for(&job, 1, &self.roofline, self.freq_hz)
-                    }
-                };
-                let t0 = std::time::Instant::now();
-                let output = self.execute(&job);
-                let wall = t0.elapsed().as_secs_f64();
-                let measured = ((wall * self.freq_hz).round() as u64).max(1);
-                let raw = estimate_for(&job, 1, &self.roofline, self.freq_hz);
-                self.table.observe(job.kind.class(), raw.cycles, measured);
-                let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
-                report.makespan_cycles = measured;
-                JobResult {
-                    job_id: job.id,
-                    label: job.label,
-                    output,
-                    report,
-                    start_cycle: 0,
-                    finish_cycle: measured,
-                    estimate: Some(est),
-                    backend: self.kind,
-                }
-            })
-            .collect();
-        // Native jobs spend no simulated farm time: the batch window
-        // stays empty, mirroring the analytical backend.
-        BatchResult {
-            results,
-            report: ScaleOutReport::new(self.clusters, self.freq_hz),
+            JobKind::Raw(_) => unreachable!("check rejects raw jobs"),
         }
     }
 }
@@ -973,25 +770,31 @@ mod tests {
     #[test]
     fn estimates_are_roofline_consistent() {
         let config = ScaleOutConfig::with_clusters(4);
-        let mut model = AnalyticalBackend::new(&config);
+        let model = AnalyticalBackend::new(&config);
         let job = axpy_job(4096);
-        let work = model.admit(&job).expect("valid job");
-        let AdmittedWork::Estimated(est) = work else {
-            panic!("analytical admission must estimate");
-        };
+        let answer = model.run(&job).expect("valid job");
+        let est = answer
+            .estimate
+            .expect("analytical answers carry the estimate");
         // AXPY is memory bound: 12 B and 2 flops per element.
         assert!(!est.compute_bound);
         assert_eq!(est.flops, 2 * 4096);
         assert_eq!(est.ext_bytes, 12 * 4096);
         assert!(est.cycles > 0);
+        assert_eq!(answer.report.makespan_cycles, est.cycles);
+        assert!(answer.output.is_empty());
     }
 
     #[test]
     fn small_jobs_get_few_shards_large_jobs_get_many() {
         let config = ScaleOutConfig::with_clusters(8);
         let model = AnalyticalBackend::new(&config);
-        assert_eq!(model.shards_for(&axpy_job(64)), 1);
-        assert_eq!(model.shards_for(&axpy_job(1 << 20)), 8);
+        let shards = |n| model.run(&axpy_job(n)).unwrap().estimate.unwrap().shards;
+        assert_eq!(shards(64), 1);
+        assert_eq!(shards(1 << 20), 8);
+        // Graded, not snapped: a mid-size job spans a mid-size subset.
+        let mid = shards(6000);
+        assert!(mid > 1 && mid < 8, "6000-element AXPY on {mid} shards");
     }
 
     #[test]
@@ -1028,13 +831,9 @@ mod tests {
     #[test]
     fn simulator_admits_oversized_gemm_as_streaming_tiles() {
         // A GEMM whose single-cluster shard overflows the TCDM is no
-        // longer widened or rejected: the shard streams through M/N
-        // output tiles at the sharding the heuristic asked for.
-        let config = ScaleOutConfig {
-            target_shard_cycles: u64::MAX, // heuristic says 1 shard
-            ..ScaleOutConfig::with_clusters(4)
-        };
-        let mut sim = SimulatorBackend::new(config);
+        // longer widened or rejected: on a one-cluster farm the shard
+        // streams through M/N output tiles.
+        let sim = SimulatorBackend::new(ScaleOutConfig::with_clusters(1));
         let dims = ntx_kernels::blas::GemmKernel {
             m: 96,
             k: 96,
@@ -1049,14 +848,13 @@ mod tests {
                 b: vec![0.25; 96 * 96],
             },
         );
-        let work = sim.admit(&job).expect("streams when oversized");
-        let AdmittedWork::Tiled { plans, .. } = work else {
-            panic!("simulator admission must tile");
-        };
-        let active: Vec<_> = plans.iter().filter(|p| !p.is_empty()).collect();
-        assert_eq!(active.len(), 1, "no widening needed");
+        let tiled = sim
+            .plan(&job, &DurationTable::new())
+            .expect("streams when oversized");
+        assert_eq!(tiled.planned_shards, 1, "no widening needed");
+        assert_eq!(tiled.nonempty.len(), 1);
         assert!(
-            active[0].tiles.len() > 1,
+            tiled.nonempty[0].tiles.len() > 1,
             "the shard streams as multiple output tiles"
         );
     }

@@ -1,23 +1,28 @@
-//! The multi-cluster executor: a thin composition of the layered
-//! serving stack.
+//! The multi-cluster executor: the one object every queue runner
+//! drives.
 //!
-//! [`ScaleOutExecutor`] wires a [`SimulatorBackend`] (the tiler, the
-//! placement heuristic and the [`ClusterFarm`](crate::ClusterFarm)),
-//! an [`AnalyticalBackend`] (roofline estimates) and a pair of
-//! [`NativeHost`]s (wire-speed host-CPU execution, fast and
-//! bit-exact) behind the [`Backend`] trait and dispatches each job to
-//! the backend its [`JobOpts`](crate::JobOpts) select. The async,
-//! multi-client entry point on top of this is
-//! [`Server`](crate::Server); the executor itself is the synchronous
-//! core both paths share.
+//! [`ScaleOutExecutor`] owns the four backends — a [`SimulatorBackend`]
+//! (the tiler, graded placement and the
+//! [`ClusterFarm`](crate::ClusterFarm)), an [`AnalyticalBackend`]
+//! (roofline estimates) and a pair of [`NativeHost`]s (wire-speed
+//! host-CPU execution, fast and bit-exact) — plus the
+//! [`DurationTable`] that feeds measured shard durations back into
+//! placement. Every job takes the same path: admission either places
+//! it on the running farm or answers it inline, selected by its
+//! [`JobOpts`](crate::JobOpts), and retiring a shard feeds the table.
+//! [`run_queue`](ScaleOutExecutor::run_queue) admits a whole queue and
+//! drains the farm; the async, multi-client
+//! [`Server`](crate::Server) interleaves the same two calls with its
+//! channel.
 
 use ntx_mem::{HmcConfig, MemoryModel, MeshConfig};
-use ntx_sim::{Cluster, ClusterConfig};
+use ntx_sim::{ClusterConfig, PerfSnapshot};
 
 use crate::backend::{
-    AdmittedJob, AnalyticalBackend, Backend, BackendKind, JobEstimate, NativeHost, SimulatorBackend,
+    AnalyticalBackend, BackendKind, DurationTable, JobEstimate, NativeHost, SimulatorBackend,
+    TiledJob,
 };
-use crate::farm::JobMeta;
+use crate::farm::ShardRetire;
 use crate::job::{Job, JobQueue};
 use crate::report::ScaleOutReport;
 use crate::SchedError;
@@ -30,16 +35,6 @@ pub struct ScaleOutConfig {
     pub clusters: usize,
     /// Configuration of every cluster.
     pub cluster: ClusterConfig,
-    /// Overlap jobs across clusters (the pipelined farm). With `false`
-    /// every job barriers on its predecessor — the differential oracle
-    /// for the farm, mirroring the simulator's `fast_path: false`.
-    pub pipelined: bool,
-    /// Let small jobs occupy disjoint cluster subsets (cluster-level
-    /// space sharing) instead of spanning the whole farm.
-    pub space_share: bool,
-    /// Estimated cycles of work one shard should carry before the
-    /// space-sharing heuristic adds another cluster to a job.
-    pub target_shard_cycles: u64,
     /// External-memory model: ideal private memories (the default),
     /// one shared HMC whose vault/LoB bandwidth every cluster's DMA
     /// draws from ([`MemoryModel::SharedHmc`]), or a multi-cube mesh
@@ -53,18 +48,19 @@ pub struct ScaleOutConfig {
     /// arm of the affinity experiment. Meaningless without
     /// [`MemoryModel::HmcMesh`].
     pub affinity: bool,
-    /// Deterministic chaos schedule injected into continuous-mode
-    /// farms: cluster kills, transient stalls, serial-link
-    /// degradation. The empty plan (the default) injects nothing;
-    /// batch (oracle) runs always ignore it.
+    /// Deterministic chaos schedule injected into the farm: cluster
+    /// kills, transient stalls, serial-link degradation. The empty
+    /// plan (the default) injects nothing; only the barriered
+    /// [`ClusterFarm::run_batch`](crate::ClusterFarm::run_batch)
+    /// oracle ignores it.
     pub faults: ntx_sim::FaultPlan,
-    /// Worker threads for the continuous farm's cluster pool. `0`
-    /// (the default) resolves via the `NTX_WORKER_THREADS` env
-    /// variable, falling back to serial; `1` forces serial; `> 1`
-    /// steps clusters speculatively on that many threads while the
-    /// merge front keeps retire order — and every output and counter —
-    /// bit-identical to the serial farm. Batch (oracle) runs always
-    /// execute serially.
+    /// Worker threads for the farm's cluster pool. `0` (the default)
+    /// resolves via the `NTX_WORKER_THREADS` env variable, falling
+    /// back to serial; `1` forces serial; `> 1` steps clusters
+    /// speculatively on that many threads while the merge front keeps
+    /// retire order — and every output and counter — bit-identical to
+    /// the serial farm. Only the barriered oracle always executes
+    /// serially.
     pub worker_threads: usize,
 }
 
@@ -73,9 +69,6 @@ impl Default for ScaleOutConfig {
         Self {
             clusters: 8,
             cluster: ClusterConfig::default(),
-            pipelined: true,
-            space_share: true,
-            target_shard_cycles: 4096,
             memory: MemoryModel::Ideal,
             affinity: true,
             faults: ntx_sim::FaultPlan::NONE,
@@ -92,14 +85,6 @@ impl ScaleOutConfig {
             clusters,
             ..Self::default()
         }
-    }
-
-    /// The barriered reference configuration: same placement, no
-    /// inter-job overlap.
-    #[must_use]
-    pub fn barriered(mut self) -> Self {
-        self.pipelined = false;
-        self
     }
 
     /// Runs every cluster against one shared HMC: DMA ext transfers
@@ -129,16 +114,16 @@ impl ScaleOutConfig {
         self
     }
 
-    /// Arms a deterministic chaos schedule (continuous-mode farms
-    /// only; the batch oracle stays fault-free).
+    /// Arms a deterministic chaos schedule on the farm (the barriered
+    /// oracle stays fault-free).
     #[must_use]
     pub fn with_faults(mut self, faults: ntx_sim::FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Sets the worker-pool width for continuous farms (`0` = resolve
-    /// from the `NTX_WORKER_THREADS` env variable, `1` = serial).
+    /// Sets the worker-pool width of the farm (`0` = resolve from the
+    /// `NTX_WORKER_THREADS` env variable, `1` = serial).
     #[must_use]
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
@@ -178,10 +163,26 @@ pub struct JobResult {
 pub struct BatchResult {
     /// Per-job results in submission order.
     pub results: Vec<JobResult>,
-    /// The batch window: all simulated shard deltas, and the makespan
-    /// under the configured accounting (overlapped when pipelined,
-    /// back-to-back when barriered).
+    /// The batch window: the simulated jobs' per-cluster deltas, and
+    /// the makespan from the first simulated shard's start to the last
+    /// one's retire (in the barriered oracle, the jobs back to back).
     pub report: ScaleOutReport,
+}
+
+/// What admitting one job did.
+#[derive(Debug)]
+pub(crate) enum Admitted {
+    /// Placed on the farm: its result arrives with a later
+    /// [`retire`](ScaleOutExecutor::retire).
+    Placed,
+    /// Answered inline by the estimate or a native backend.
+    Answered(JobResult),
+}
+
+/// The error of a job a cluster kill left with no live cluster to run
+/// its shards on.
+pub(crate) fn lost_job() -> SchedError {
+    SchedError::Capacity("a cluster kill left no live cluster to run the job's shards".into())
 }
 
 /// The multi-cluster scheduler/executor.
@@ -192,6 +193,8 @@ pub struct ScaleOutExecutor {
     model: AnalyticalBackend,
     native_fast: NativeHost,
     native_exact: NativeHost,
+    /// Measured-duration feedback of the farm's retired shards.
+    table: DurationTable,
 }
 
 impl ScaleOutExecutor {
@@ -211,6 +214,7 @@ impl ScaleOutExecutor {
             model: AnalyticalBackend::new(&config),
             native_fast: NativeHost::fast(&config),
             native_exact: NativeHost::exact(&config),
+            table: DurationTable::new(),
         }
     }
 
@@ -226,119 +230,165 @@ impl ScaleOutExecutor {
         &self.config
     }
 
-    /// Read-only access to cluster `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// Counter totals over every shard the farm has retired.
     #[must_use]
-    pub fn cluster(&self, index: usize) -> &Cluster {
-        self.sim.cluster(index)
+    pub fn perf_totals(&self) -> PerfSnapshot {
+        self.sim.perf_totals()
     }
 
-    /// The backend serving `kind`.
-    fn backend(&mut self, kind: BackendKind) -> &mut dyn Backend {
-        match kind {
-            BackendKind::Simulate => &mut self.sim,
-            BackendKind::Estimate => &mut self.model,
-            BackendKind::NativeFast => &mut self.native_fast,
-            BackendKind::NativeExact => &mut self.native_exact,
+    /// The simulator backend: the farm's state and counters.
+    pub(crate) fn sim(&self) -> &SimulatorBackend {
+        &self.sim
+    }
+
+    /// The fallible half of admission: every check that can reject
+    /// `job`, committing nothing. `Some` carries the tiled plan of a
+    /// farm job; `None` marks a job answered inline.
+    fn plan(&self, job: &Job) -> Result<Option<TiledJob>, SchedError> {
+        match job.opts.backend {
+            BackendKind::Simulate => self.sim.plan(job, &self.table).map(Some),
+            BackendKind::Estimate => job.validate().map(|()| None),
+            BackendKind::NativeFast | BackendKind::NativeExact => {
+                NativeHost::check(job).map(|()| None)
+            }
         }
     }
 
-    /// Shards `job` across **all** clusters (the strong-scaling path;
-    /// the space-sharing heuristic only applies to queued batches),
-    /// runs it to completion, and assembles the output.
+    /// The commit half: places a [`plan`](Self::plan)ned farm job on
+    /// the least-loaded clusters, shedding it when `deadline_cycles`
+    /// is provably unmeetable, or answers an inline job.
+    fn commit(
+        &mut self,
+        job: &Job,
+        tiled: Option<TiledJob>,
+        deadline_cycles: Option<u64>,
+    ) -> Result<Admitted, SchedError> {
+        let answer = match (tiled, job.opts.backend) {
+            (Some(tiled), _) => {
+                self.sim.place(job, tiled, deadline_cycles)?;
+                return Ok(Admitted::Placed);
+            }
+            (None, BackendKind::NativeFast) => self.native_fast.run(job),
+            (None, BackendKind::NativeExact) => self.native_exact.run(job),
+            (None, _) => self.model.run(job),
+        };
+        answer.map(Admitted::Answered)
+    }
+
+    /// Admits one job: a simulated job is placed on the running farm
+    /// (or shed when its `deadline_cycles` is provably unmeetable); an
+    /// estimate or native job is answered inline.
+    pub(crate) fn admit(&mut self, job: &Job) -> Result<Admitted, SchedError> {
+        let tiled = self.plan(job)?;
+        self.commit(job, tiled, job.opts.deadline_cycles)
+    }
+
+    /// Retires the next farm shard and folds its measured duration
+    /// into the duration table; `None` when the farm is idle.
+    pub(crate) fn retire(&mut self) -> Option<ShardRetire> {
+        let retire = self.sim.step_farm()?;
+        self.table
+            .observe(retire.class, retire.est_cycles, retire.cycles);
+        Some(retire)
+    }
+
+    /// Ids of the jobs a cluster kill failed since the last call (see
+    /// [`ClusterFarm::take_lost`](crate::ClusterFarm::take_lost)).
+    pub(crate) fn take_lost(&mut self) -> Vec<u64> {
+        self.sim.take_lost()
+    }
+
+    /// Shards `job` across **all** live clusters, plan `i` on the
+    /// `i`-th (the strong-scaling path; queued jobs get graded
+    /// subsets instead), runs it to completion, and assembles the
+    /// output. Its shards teach the duration table nothing.
     ///
     /// # Errors
     ///
-    /// Propagates tiler errors; the clusters are left idle (but with
-    /// clobbered memories) on failure.
+    /// Propagates tiler errors; [`SchedError::Capacity`] when a kill
+    /// leaves no cluster to run the job.
     pub fn run_job(&mut self, job: &Job) -> Result<JobResult, SchedError> {
-        let plans = self.sim.admit_full_width(job)?;
-        let meta = JobMeta {
+        self.sim.place_full_width(job)?;
+        let mut done = None;
+        while let Some(retire) = self.retire() {
+            done = done.or(retire.result);
+        }
+        self.take_lost();
+        done.ok_or_else(lost_job)
+    }
+
+    /// Drains the queue through the farm. Every job is planned first —
+    /// validated, sized and tiled — so a bad submission fails the whole
+    /// batch before any simulation time is spent, with the queue intact
+    /// and nothing placed; errors name the offending job. The jobs are
+    /// then admitted in submission order, exactly as the
+    /// [`Server`](crate::Server) admits them (virtual-cycle deadlines
+    /// aside: a batch sheds nothing), and the farm is drained. Results
+    /// come back in submission order.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Job`] wrapping the first admission failure, or
+    /// naming a job a cluster kill left with no live cluster
+    /// ([`SchedError::Capacity`]).
+    pub fn run_queue(&mut self, queue: &mut JobQueue) -> Result<BatchResult, SchedError> {
+        let named = |job: &Job, e: SchedError| SchedError::Job {
             id: job.id,
             label: job.label.clone(),
-            output_len: job.output_len(),
-            class: job.kind.class(),
-            home_cube: job.opts.home_cube,
+            source: Box::new(e),
         };
-        Ok(self.sim.run_single(meta, plans))
-    }
-
-    /// Drains the queue. Every job is admitted (and so shape- and
-    /// capacity-checked) up front, so a bad submission fails the whole
-    /// batch before any simulation time is spent and with the queue
-    /// intact; errors name the offending job. Jobs whose options
-    /// select the analytical backend are answered from the model; the
-    /// rest run on the pipelined farm (or the barriered reference,
-    /// per the configuration). Results come back in submission order.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Job`] wrapping the first admission failure.
-    pub fn run_queue(&mut self, queue: &mut JobQueue) -> Result<BatchResult, SchedError> {
-        let mut work = Vec::with_capacity(queue.len());
-        for job in queue.iter() {
-            let admitted =
-                self.backend(job.opts.backend)
-                    .admit(job)
-                    .map_err(|e| SchedError::Job {
-                        id: job.id,
-                        label: job.label.clone(),
-                        source: Box::new(e),
-                    })?;
-            work.push(admitted);
+        let plans = queue
+            .iter()
+            .map(|job| self.plan(job).map_err(|e| named(job, e)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut results: Vec<Option<JobResult>> = Vec::with_capacity(plans.len());
+        // Farm jobs by id: their result slot and label. A committed job
+        // is dropped at once — its plans hold the data the farm needs.
+        let mut placed = std::collections::HashMap::new();
+        for (slot, tiled) in plans.into_iter().enumerate() {
+            let job = queue.pop().expect("one queued job per plan");
+            // Every check ran in the plan pass and a batch sheds
+            // nothing, so no commit fails.
+            match self.commit(&job, tiled, None).map_err(|e| named(&job, e))? {
+                Admitted::Placed => {
+                    placed.insert(job.id, (slot, job.label));
+                    results.push(None);
+                }
+                Admitted::Answered(answer) => results.push(Some(answer)),
+            }
         }
-        // Split the admitted queue into one lane per backend,
-        // remembering each job's submission slot.
-        const LANES: [BackendKind; 4] = [
-            BackendKind::Simulate,
-            BackendKind::Estimate,
-            BackendKind::NativeFast,
-            BackendKind::NativeExact,
-        ];
-        let lane = |kind: BackendKind| {
-            LANES
-                .iter()
-                .position(|&k| k == kind)
-                .expect("every backend kind has a lane")
-        };
-        let mut batches: [Vec<AdmittedJob>; 4] = Default::default();
-        let mut slots: [Vec<usize>; 4] = Default::default();
-        let mut total = 0usize;
-        for (slot, admitted) in work.into_iter().enumerate() {
-            let job = queue.pop().expect("one queued job per admission");
-            let l = lane(job.opts.backend);
-            slots[l].push(slot);
-            batches[l].push(AdmittedJob {
-                job,
-                work: admitted,
+        while let Some(retire) = self.retire() {
+            if let Some(done) = retire.result {
+                let (slot, _) = placed[&done.job_id];
+                results[slot] = Some(done);
+            }
+        }
+        if let Some(&id) = self.take_lost().first() {
+            let (_, label) = &placed[&id];
+            return Err(SchedError::Job {
+                id,
+                label: label.clone(),
+                source: Box::new(lost_job()),
             });
-            total += 1;
         }
-        // Run each lane's batch and stitch results back into
-        // submission order. The batch window is the simulated one —
-        // estimates and native jobs spend no simulator time.
-        let mut results: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
-        let mut window = None;
-        for (l, &kind) in LANES.iter().enumerate() {
-            let batch = std::mem::take(&mut batches[l]);
-            let lane_result = self.backend(kind).run_batch(batch);
-            for (&slot, r) in slots[l].iter().zip(lane_result.results) {
-                results[slot] = Some(r);
+        let results: Vec<JobResult> = results
+            .into_iter()
+            .map(|r| r.expect("every admitted job retires"))
+            .collect();
+        let mut report = ScaleOutReport::new(self.config.clusters, self.config.cluster.ntx_freq_hz);
+        let (mut first, mut last) = (u64::MAX, 0);
+        for r in results
+            .iter()
+            .filter(|r| r.backend == BackendKind::Simulate)
+        {
+            for (total, delta) in report.per_cluster.iter_mut().zip(&r.report.per_cluster) {
+                total.accumulate(delta);
             }
-            if kind == BackendKind::Simulate {
-                window = Some(lane_result.report);
-            }
+            first = first.min(r.start_cycle);
+            last = last.max(r.finish_cycle);
         }
-        Ok(BatchResult {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect(),
-            report: window.expect("simulator lane always runs"),
-        })
+        report.makespan_cycles = last.saturating_sub(first);
+        Ok(BatchResult { results, report })
     }
 }
 
@@ -508,38 +558,22 @@ mod tests {
 
     #[test]
     fn queue_runs_jobs_in_order_and_pipelining_beats_the_barrier() {
-        let mut barriered = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(2).barriered());
-        let base = barriered.run_queue(&mut two_job_queue()).unwrap();
-        assert_eq!(base.results.len(), 2);
-        assert_eq!(base.results[0].label, "axpy");
-        assert_eq!(base.results[1].label, "gemm");
-        // Barriered accounting: jobs run back to back.
-        assert_eq!(
-            base.report.makespan_cycles,
-            base.results[0].report.makespan_cycles + base.results[1].report.makespan_cycles
-        );
-        assert!(base.report.total_flops() > 0);
-        assert!(base.report.dma_occupancy() > 0.0);
-
-        // The pipelined farm space-shares the two small jobs across the
-        // two clusters: same per-job windows, overlapped makespan.
-        let mut pipelined = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(2));
-        let batch = pipelined.run_queue(&mut two_job_queue()).unwrap();
-        for (p, b) in batch.results.iter().zip(&base.results) {
-            assert_eq!(p.output, b.output);
-            assert_eq!(p.report.makespan_cycles, b.report.makespan_cycles);
-            assert_eq!(p.report.per_cluster, b.report.per_cluster);
-        }
-        assert!(batch.report.makespan_cycles < base.report.makespan_cycles);
+        // The farm space-shares the two small jobs across the two
+        // clusters: the batch window overlaps them, so it is shorter
+        // than the barriered accounting of the same per-job windows —
+        // their back-to-back sum.
+        let mut exec = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(2));
+        let batch = exec.run_queue(&mut two_job_queue()).unwrap();
+        let labels: Vec<&str> = batch.results.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["axpy", "gemm"]);
+        let barriered: u64 = batch.results.iter().map(|r| r.report.makespan_cycles).sum();
+        assert!(batch.report.makespan_cycles < barriered);
         assert_eq!(
             batch.report.makespan_cycles,
-            batch
-                .results
-                .iter()
-                .map(|r| r.report.makespan_cycles)
-                .max()
-                .unwrap()
+            batch.results.iter().map(|r| r.finish_cycle).max().unwrap()
         );
+        assert!(batch.report.total_flops() > 0);
+        assert!(batch.report.dma_occupancy() > 0.0);
     }
 
     #[test]
@@ -559,16 +593,15 @@ mod tests {
         let e = est.estimate.expect("analytical job carries its estimate");
         assert!(e.cycles > 0 && !e.compute_bound);
         assert_eq!(est.report.makespan_cycles, e.cycles);
-        // The simulated job produced data; the estimate spent no
-        // simulator cycles anywhere (only job 2's shard advanced a
-        // cluster, and only one cluster was touched).
+        // The simulated job produced data on one cluster, and the farm
+        // retired nothing else: the estimate spent no simulator cycles.
         let sim = &batch.results[1];
         assert_eq!(sim.output.len(), 256);
         assert!(sim.estimate.is_none());
-        let advanced = (0..exec.num_clusters())
-            .filter(|&c| exec.cluster(c).cycle() > 0)
-            .count();
-        assert_eq!(advanced, 1);
+        let active = sim.report.per_cluster.iter().filter(|p| p.cycles > 0);
+        assert_eq!(active.count(), 1);
+        let sim_cycles: u64 = sim.report.per_cluster.iter().map(|p| p.cycles).sum();
+        assert_eq!(exec.perf_totals().cycles, sim_cycles);
     }
 
     #[test]
@@ -593,10 +626,9 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    #[test]
-    fn raw_job_window_outside_tcdm_rejected() {
-        // TCDM addresses wrap at capacity, so an out-of-range result
-        // window must be rejected at planning time, not read aliased.
+    /// A raw job whose 32-byte result window starts 16 bytes before the
+    /// end of the TCDM: valid in shape, rejected at tiling.
+    fn raw_window_past_tcdm() -> JobKind {
         let cfg = NtxConfig::builder()
             .command(Command::Mac {
                 operand: OperandSelect::Memory,
@@ -607,15 +639,21 @@ mod tests {
             .agu(2, AguConfig::fixed(0x200))
             .build()
             .unwrap();
-        let kind = JobKind::Raw(RawJob {
+        JobKind::Raw(RawJob {
             config: cfg,
             tcdm: vec![(0x000, vec![1.0, 2.0])],
             result_addr: 0xfff0,
             result_len: 8,
-        });
+        })
+    }
+
+    #[test]
+    fn raw_job_window_outside_tcdm_rejected() {
+        // TCDM addresses wrap at capacity, so an out-of-range result
+        // window must be rejected at planning time, not read aliased.
         // 32 B requested at 0xfff0 with 16 B left: a typed error that
         // names the sizes, not a stringly capacity failure.
-        match run_sharded(&job(kind), 1) {
+        match run_sharded(&job(raw_window_past_tcdm()), 1) {
             Err(SchedError::PlanTooLarge {
                 what,
                 requested,
@@ -629,6 +667,63 @@ mod tests {
             }
             other => panic!("expected PlanTooLarge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn failed_run_queue_leaves_nothing_behind() {
+        // The last job fails at tiling, after every earlier job was
+        // planned: the call names it, keeps the queue, and places
+        // nothing — the next queue runs exactly as on a fresh farm.
+        let mut exec = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(2));
+        let mut bad = two_job_queue();
+        let bad_id = bad.job("raw").kind(raw_window_past_tcdm()).submit();
+        match exec.run_queue(&mut bad) {
+            Err(SchedError::Job { id, source, .. }) => {
+                assert_eq!(id, bad_id);
+                assert!(matches!(*source, SchedError::PlanTooLarge { .. }));
+            }
+            other => panic!("expected SchedError::Job, got {other:?}"),
+        }
+        assert_eq!(bad.len(), 3);
+        let after = exec.run_queue(&mut two_job_queue()).unwrap();
+        let mut fresh = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(2));
+        let expect = fresh.run_queue(&mut two_job_queue()).unwrap();
+        for (a, e) in after.results.iter().zip(&expect.results) {
+            assert_eq!(a.output, e.output);
+            assert_eq!(a.report.per_cluster, e.report.per_cluster);
+            assert_eq!(a.report.makespan_cycles, e.report.makespan_cycles);
+            assert_eq!(
+                (a.start_cycle, a.finish_cycle),
+                (e.start_cycle, e.finish_cycle)
+            );
+        }
+        assert_eq!(after.report.makespan_cycles, expect.report.makespan_cycles);
+        assert_eq!(exec.perf_totals(), fresh.perf_totals());
+    }
+
+    #[test]
+    fn kill_of_the_last_cluster_fails_the_batch_naming_the_job() {
+        let faults = ntx_sim::FaultPlan::NONE.with_seed(1).with_kill(0, 100);
+        let config = ScaleOutConfig::with_clusters(1).with_faults(faults);
+        let mut exec = ScaleOutExecutor::new(config);
+        let mut q = JobQueue::new();
+        let doomed = q
+            .job("doomed")
+            .axpy(1.0, data(2000, 1), data(2000, 2))
+            .submit();
+        match exec.run_queue(&mut q) {
+            Err(SchedError::Job { id, source, .. }) => {
+                assert_eq!(id, doomed);
+                assert!(matches!(*source, SchedError::Capacity(_)));
+            }
+            other => panic!("expected SchedError::Job, got {other:?}"),
+        }
+        let late = job(JobKind::Axpy {
+            a: 1.0,
+            x: data(64, 3),
+            y: data(64, 4),
+        });
+        assert!(matches!(exec.run_job(&late), Err(SchedError::Capacity(_))));
     }
 
     #[test]

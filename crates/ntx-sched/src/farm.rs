@@ -1,30 +1,33 @@
-//! The pipelined cluster farm: event-driven shard execution across N
+//! The cluster farm: event-driven shard execution across N
 //! independent clusters.
 //!
-//! The farm replaces the old executor's per-job barrier. Each cluster
-//! owns a FIFO of *shards* (one per job that placed work on it) and
-//! runs them back to back: the moment its pipeline for job *i* drains —
-//! an observable [`Cluster::run_burst`] event — the cluster stages job
-//! *i+1* and queues its input DMA, so in system (makespan) time the
-//! store-drain of job *i* on one cluster overlaps the input DMA of job
-//! *i+1* on every cluster that finished earlier, and small jobs placed
-//! on disjoint cluster subsets run concurrently (cluster-level space
-//! sharing).
+//! Each cluster owns a FIFO of *shards* (one per job that placed work
+//! on it) and runs them back to back: the moment its pipeline for job
+//! *i* drains — an observable [`Cluster::run_burst`] event — the
+//! cluster stages job *i+1* and queues its input DMA, so in system
+//! (makespan) time the store-drain of job *i* on one cluster overlaps
+//! the input DMA of job *i+1* on every cluster that finished earlier,
+//! and small jobs placed on disjoint cluster subsets run concurrently
+//! (cluster-level space sharing).
 //!
-//! Two accountings of the same per-shard simulations:
+//! Two drives of the same per-shard simulations:
 //!
-//! * **pipelined** (default): cluster `c` starts its next shard the
-//!   cycle its previous one retires; the batch makespan is
-//!   `max_c Σ_j shard(c, j)`.
-//! * **barriered** (`pipelined: false`): every job waits for the
-//!   slowest cluster of its predecessor; the batch makespan is
+//! * **continuous** ([`admit`](ClusterFarm::admit) /
+//!   [`step`](ClusterFarm::step) / [`drain`](ClusterFarm::drain)):
+//!   jobs join the *running* farm and cluster `c` starts its next
+//!   shard the cycle its previous one retires — every queue runner
+//!   (the server, [`run_queue`](crate::ScaleOutExecutor::run_queue),
+//!   [`run_job`](crate::ScaleOutExecutor::run_job)) drives this one;
+//! * **barriered** ([`run_batch`](ClusterFarm::run_batch)): a
+//!   pre-placed batch where every job waits for the slowest cluster
+//!   of its predecessor, so the batch makespan is
 //!   `Σ_j max_c shard(c, j)` — the differential oracle, mirroring the
 //!   simulator's `fast_path: false` pattern.
 //!
 //! Each shard executes in an isolated idle-to-idle measurement window
 //! on its cluster (staging is host work; clusters advance their local
 //! clocks only while working), so per-job outputs **and** per-job
-//! [`PerfSnapshot`] deltas are bit-identical between the two modes —
+//! [`PerfSnapshot`] deltas are bit-identical between the two drives —
 //! only the overlap accounting differs. This is also why the farm does
 //! not chain one job's tiles into the next job's pipeline within a
 //! cluster: the TCDM ping-pong region and the external-memory operand
@@ -62,6 +65,20 @@ pub struct JobMeta {
     pub home_cube: Option<u32>,
 }
 
+impl JobMeta {
+    /// The farm identity of `job`.
+    #[must_use]
+    pub fn of(job: &crate::Job) -> Self {
+        Self {
+            id: job.id,
+            label: job.label.clone(),
+            output_len: job.output_len(),
+            class: job.kind.class(),
+            home_cube: job.opts.home_cube,
+        }
+    }
+}
+
 /// One job, placed: which cluster runs which shard plan.
 #[derive(Debug)]
 pub struct PlacedJob {
@@ -94,8 +111,8 @@ struct ShardTask {
 /// Per-shard measurement: which job, its counter delta, its duration.
 type ShardRecord = (usize, PerfSnapshot, u64);
 
-/// Fault-recovery counters of one farm run (continuous mode; the
-/// batch oracle never injects faults).
+/// Fault-recovery counters of one farm run (continuous drive; the
+/// barriered oracle never injects faults).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Fault events that fired: cluster kills plus transient stalls.
@@ -427,12 +444,12 @@ struct QueuedShard {
     wiring: Option<ShardWiring>,
 }
 
-/// The farm: N independent clusters plus their shard FIFOs. Batch mode
-/// ([`run_batch`](ClusterFarm::run_batch)) executes a pre-placed batch;
-/// continuous mode ([`admit`](ClusterFarm::admit) /
+/// The farm: N independent clusters plus their shard FIFOs. The
+/// continuous drive ([`admit`](ClusterFarm::admit) /
 /// [`step`](ClusterFarm::step) / [`drain`](ClusterFarm::drain)) feeds
 /// jobs into the *running* farm and retires shards one observable
-/// event at a time.
+/// event at a time; [`run_batch`](ClusterFarm::run_batch) executes a
+/// pre-placed batch barriered, as the differential oracle.
 #[derive(Debug)]
 pub struct ClusterFarm {
     /// The cluster states. Emptied when the worker pool activates —
@@ -461,7 +478,7 @@ pub struct ClusterFarm {
     /// Per-cluster flag: a key for this cluster is in `ready`.
     enqueued: Vec<bool>,
     /// Per-cluster FIFOs of shards admitted but not yet run
-    /// (continuous mode only; `run_batch` keeps its own local queues).
+    /// (continuous drive only; `run_batch` keeps its own local queues).
     pending: Vec<VecDeque<QueuedShard>>,
     /// In-flight jobs, slab-indexed by `QueuedShard::slot`.
     active: Vec<Option<ActiveJob>>,
@@ -475,16 +492,19 @@ pub struct ClusterFarm {
     /// computes ports, homes, and hop costs).
     mesh: Option<HmcMesh>,
     /// Farm-lifetime accumulation of every retired shard's counter
-    /// delta (both batch and continuous mode) — the serving layer's
-    /// source for memory-stall attribution.
+    /// delta (both drives) — the serving layer's source for
+    /// memory-stall attribution.
     totals: PerfSnapshot,
-    /// The chaos schedule (continuous mode only; defaults to no
+    /// The chaos schedule (continuous drive only; defaults to no
     /// faults). Consulted, never mutated — every injected event is a
     /// pure function of (seed, cycle, cluster).
     faults: FaultPlan,
     /// Clusters detected as failed: excluded from stepping and
     /// placement, their clocks frozen at the kill cycle.
     dead: Vec<bool>,
+    /// Jobs failed because no cluster survived to run their orphaned
+    /// shards, not yet collected by [`take_lost`](Self::take_lost).
+    lost: Vec<u64>,
     /// Recovery counters of this run.
     fault_stats: FaultStats,
 }
@@ -643,13 +663,14 @@ impl ClusterFarm {
             totals: PerfSnapshot::default(),
             faults: FaultPlan::NONE,
             dead: vec![false; clusters],
+            lost: Vec::new(),
             fault_stats: FaultStats::default(),
         }
     }
 
-    /// Arms a chaos schedule for this farm's continuous mode. Batch
-    /// runs ([`run_batch`](ClusterFarm::run_batch)) ignore it — they
-    /// are the fault-free differential oracle.
+    /// Arms a chaos schedule for this farm's continuous drive. The
+    /// barriered [`run_batch`](ClusterFarm::run_batch) ignores it — it
+    /// is the fault-free differential oracle.
     ///
     /// # Panics
     ///
@@ -665,8 +686,8 @@ impl ClusterFarm {
 
     /// Sets the worker-thread count for continuous stepping (resolved
     /// via [`resolve_worker_threads`]; values above 1 make the first
-    /// continuous admission activate the pool). Batch runs are
-    /// unaffected.
+    /// continuous admission activate the pool). The barriered
+    /// [`run_batch`](ClusterFarm::run_batch) always runs serially.
     ///
     /// # Panics
     ///
@@ -793,11 +814,9 @@ impl ClusterFarm {
     /// Marks `index` dead and re-admits everything still queued on it
     /// onto the least-loaded surviving clusters (FIFO order, ties to
     /// the lowest index — deterministic). `extra` carries the aborted
-    /// in-flight shard of a mid-shard kill, evacuated first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no cluster survives to take the work.
+    /// in-flight shard of a mid-shard kill, evacuated first. When no
+    /// cluster survives, the orphans' jobs fail instead: they leave the
+    /// farm and their ids wait in [`take_lost`](Self::take_lost).
     fn fail_cluster(&mut self, index: usize, extra: Option<QueuedShard>) {
         self.dead[index] = true;
         if let Some(at) = self.faults.kill_cycle(index as u32) {
@@ -833,10 +852,18 @@ impl ClusterFarm {
         }
         self.queued_hint[index] = 0;
         for mut task in orphans {
-            let target = (0..self.num_clusters())
+            let Some(target) = (0..self.num_clusters())
                 .filter(|&c| self.is_alive(c))
                 .min_by_key(|&c| (self.load(c), c))
-                .expect("a surviving cluster must exist to re-admit orphaned shards");
+            else {
+                // The job's first orphan fails it; its other orphans
+                // find the slot already empty.
+                if let Some(job) = self.active[task.slot].take() {
+                    self.free_slots.push(task.slot);
+                    self.lost.push(job.meta.id);
+                }
+                continue;
+            };
             let meta = self.active[task.slot]
                 .as_ref()
                 .expect("orphaned shard has an active job")
@@ -852,6 +879,12 @@ impl ClusterFarm {
             self.push_candidate(target);
             self.fault_stats.shards_retried += 1;
         }
+    }
+
+    /// Ids of the jobs failed since the last call because a kill left
+    /// no cluster to run their shards, in failure order.
+    pub fn take_lost(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.lost)
     }
 
     /// The resolved home cube of a job under this farm's mesh (`None`
@@ -945,11 +978,18 @@ impl ClusterFarm {
         }
     }
 
-    /// Executes a batch of placed jobs and assembles per-job results
-    /// plus the batch window under the chosen accounting (see the
-    /// module docs). Results come back in `placed` order.
+    /// Executes a pre-placed batch barriered — every job starts when
+    /// its predecessor's slowest shard has retired, so the batch
+    /// makespan is the sum of the per-job makespans — and assembles
+    /// per-job results in `placed` order. The differential oracle of
+    /// the continuous drive: clusters run their FIFOs serially and no
+    /// fault is injected.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the worker pool is active.
     #[must_use]
-    pub fn run_batch(&mut self, placed: Vec<PlacedJob>, pipelined: bool) -> BatchResult {
+    pub fn run_batch(&mut self, placed: Vec<PlacedJob>) -> BatchResult {
         assert!(
             self.pool.is_none(),
             "batch execution is not supported once the worker pool is active"
@@ -972,69 +1012,39 @@ impl ClusterFarm {
         }
 
         let records = self.drive(&mut queues, &mut outputs);
-        for recs in &records {
-            for (_, perf, _) in recs {
-                self.totals.accumulate(perf);
-            }
-        }
 
         // Per-job windows: per-cluster deltas, shard-local makespan.
-        let jobs = metas.len();
-        let mut reports: Vec<ScaleOutReport> = (0..jobs)
+        let mut reports: Vec<ScaleOutReport> = (0..metas.len())
             .map(|_| ScaleOutReport::new(n, self.freq_hz))
             .collect();
         let mut batch = ScaleOutReport::new(n, self.freq_hz);
         for (c, recs) in records.iter().enumerate() {
             for (j, perf, cycles) in recs {
+                self.totals.accumulate(perf);
                 reports[*j].per_cluster[c] = *perf;
                 reports[*j].makespan_cycles = reports[*j].makespan_cycles.max(*cycles);
                 batch.per_cluster[c].accumulate(perf);
             }
         }
 
-        // Virtual farm time: when each job starts and retires.
-        let mut start = vec![0u64; jobs];
-        let mut finish = vec![0u64; jobs];
-        if pipelined {
-            start.fill(u64::MAX);
-            for recs in &records {
-                let mut t = 0u64;
-                for (j, _, cycles) in recs {
-                    start[*j] = start[*j].min(t);
-                    t += cycles;
-                    finish[*j] = finish[*j].max(t);
-                }
-                batch.makespan_cycles = batch.makespan_cycles.max(t);
-            }
-            for s in &mut start {
-                if *s == u64::MAX {
-                    *s = 0;
-                }
-            }
-        } else {
-            let mut t = 0u64;
-            for j in 0..jobs {
-                start[j] = t;
-                t += reports[j].makespan_cycles;
-                finish[j] = t;
-            }
-            batch.makespan_cycles = t;
-        }
-
+        // Virtual farm time: jobs run back to back.
         let results = metas
             .into_iter()
             .zip(outputs)
             .zip(reports)
-            .enumerate()
-            .map(|(j, ((meta, output), report))| JobResult {
-                job_id: meta.id,
-                label: meta.label,
-                output,
-                report,
-                start_cycle: start[j],
-                finish_cycle: finish[j],
-                estimate: None,
-                backend: crate::BackendKind::Simulate,
+            .map(|((meta, output), report)| {
+                let start_cycle = batch.makespan_cycles;
+                batch.makespan_cycles += report.makespan_cycles;
+                JobResult {
+                    job_id: meta.id,
+                    label: meta.label,
+                    output,
+                    report,
+                    start_cycle,
+                    finish_cycle: batch.makespan_cycles,
+                    estimate: None,
+                    backend: crate::BackendKind::Simulate,
+                }
             })
             .collect();
         BatchResult {
@@ -1114,7 +1124,9 @@ impl ClusterFarm {
     /// are queued. Per-cluster shard order is admission order, so
     /// per-job outputs and [`PerfSnapshot`]s are bit-identical to a
     /// barriered [`run_batch`](ClusterFarm::run_batch) of the same
-    /// placement — only the admission timing differs.
+    /// placement — only the admission timing differs. A kill that
+    /// leaves no cluster alive fails the jobs still on the farm (see
+    /// [`take_lost`](Self::take_lost)) and the step returns `None`.
     pub fn step(&mut self) -> Option<ShardRetire> {
         // A loop, not tail recursion: a kill with a deep pending queue
         // re-places every orphan and tries again, and the stack must

@@ -5,8 +5,8 @@
 //! convolution, AXPY, 2-D Laplace stencil) bundled with its input
 //! data, or a raw [`NtxConfig`] command for workloads the kernel
 //! library does not cover. Each job carries [`JobOpts`] — which
-//! [`Backend`](crate::Backend) executes it, its serving priority and
-//! optional deadline — and is submitted through the fluent
+//! [`BackendKind`] executes it, its serving priority and optional
+//! deadline — and is submitted through the fluent
 //! [`JobBuilder`](crate::JobBuilder): into a [`JobQueue`] (executed
 //! FIFO by [`ScaleOutExecutor`](crate::ScaleOutExecutor)) or into a
 //! persistent [`Session`](crate::Session) on the always-on
@@ -170,9 +170,11 @@ pub struct JobOpts {
     pub home_cube: Option<u32>,
     /// Optional completion deadline in *virtual farm cycles*, measured
     /// from admission. Unlike the wall-clock `deadline` (reporting
-    /// only), this one is enforced: continuous admission **sheds** the
-    /// job with [`SchedError::DeadlineUnmeetable`](crate::SchedError)
-    /// when the placement estimate already proves it unmeetable.
+    /// only), this one is enforced: the [`Server`](crate::Server)
+    /// **sheds** the job with
+    /// [`SchedError::DeadlineUnmeetable`](crate::SchedError) when the
+    /// placement estimate already proves it unmeetable. A
+    /// [`JobQueue`] batch sheds nothing.
     pub deadline_cycles: Option<u64>,
 }
 

@@ -12,20 +12,25 @@
 //!   `ntx-kernels` (GEMM, 2-D convolution, AXPY, 2-D Laplace stencil)
 //!   plus raw [`ntx_isa::NtxConfig`] commands, each with [`JobOpts`]
 //!   (backend selection, priority, deadline);
-//! * **Backends** — the [`Backend`] trait covers plan admission, tile
-//!   launch and readback; [`SimulatorBackend`] executes bit-accurately
-//!   through the cycle simulator's burst API,
-//!   [`AnalyticalBackend`] answers instantly from `ntx-model`'s
-//!   roofline estimates, and [`NativeHost`] executes on the host CPU
-//!   at wire speed — fast multi-accumulator reduction or a Kulisch
-//!   exact mode bit-identical to the simulator — selectable per job;
+//! * **Backends** — [`SimulatorBackend`] executes bit-accurately
+//!   through the cycle simulator's burst API, [`AnalyticalBackend`]
+//!   answers instantly from `ntx-model`'s roofline estimates, and
+//!   [`NativeHost`] executes on the host CPU at wire speed — fast
+//!   multi-accumulator reduction or a Kulisch exact mode
+//!   bit-identical to the simulator — selectable per job;
+//! * **Executor** — [`ScaleOutExecutor`] owns one of each backend and
+//!   the measured-duration [`DurationTable`], and is the one queue
+//!   runner: every job is planned (validated, sized to a graded
+//!   cluster subset, tiled), then either placed on the farm or
+//!   answered inline, and each retired shard feeds the table. The
+//!   [`Server`] and [`ScaleOutExecutor::run_queue`] drive it alike;
 //! * **Farm** — the [`ClusterFarm`] drives N independent clusters by
 //!   burst events with no per-job barrier: each cluster starts its
 //!   next shard the cycle its previous one retires, and small jobs
 //!   space-share disjoint cluster subsets. Per-job outputs and
 //!   [`ntx_sim::PerfSnapshot`]s stay **bit-identical** to the
-//!   barriered reference (`pipelined: false`), which is kept as the
-//!   differential oracle;
+//!   barriered [`ClusterFarm::run_batch`] replay of the same
+//!   placement, which is kept as the differential oracle;
 //! * **Memory** — [`ScaleOutConfig::memory`] selects the
 //!   external-memory model: ideal private memories, or one shared HMC
 //!   ([`MemoryModel::SharedHmc`]) whose vault/LoB bandwidth every
@@ -45,8 +50,7 @@
 //!   sized to graded cluster subsets by a measured-duration
 //!   [`DurationTable`] (EWMA of actual cluster-cycles, seeded by
 //!   roofline estimates) — and its completion is delivered the shard
-//!   event its last shard retires. The barriered farm remains the
-//!   bit-exact oracle;
+//!   event its last shard retires;
 //! * **Reports** — [`ScaleOutReport`] aggregates cycles, stalls, DMA
 //!   occupancy and — through `ntx-model` — energy and Gflop/s/W;
 //!   [`ServingReport`] rolls up a server run (jobs/s, latency,
@@ -86,7 +90,8 @@
 //! ```
 //!
 //! The same builder enqueues into a [`JobQueue`] for the synchronous
-//! [`ScaleOutExecutor`]: `queue.job("axpy").axpy(a, x, y).submit()`.
+//! [`ScaleOutExecutor::run_queue`]:
+//! `queue.job("axpy").axpy(a, x, y).submit()`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,8 +107,8 @@ pub mod session;
 pub mod tiler;
 
 pub use backend::{
-    AdmittedJob, AdmittedWork, AnalyticalBackend, Backend, BackendKind, DurationTable, JobEstimate,
-    NativeHost, Placement, SimulatorBackend,
+    AnalyticalBackend, BackendKind, DurationTable, JobEstimate, NativeHost, Placement,
+    SimulatorBackend,
 };
 pub use executor::{run_sharded, BatchResult, JobResult, ScaleOutConfig, ScaleOutExecutor};
 pub use farm::{

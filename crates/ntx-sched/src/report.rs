@@ -31,19 +31,6 @@ impl ScaleOutReport {
         }
     }
 
-    /// Folds another window (e.g. the next job of a barriered batch)
-    /// into this one: per-cluster counters add (through
-    /// [`PerfSnapshot::accumulate`]), makespans add — the accounting of
-    /// an executor that runs jobs back to back. The pipelined farm
-    /// computes its own overlapped makespan instead of merging.
-    pub fn merge(&mut self, other: &ScaleOutReport) {
-        assert_eq!(self.clusters, other.clusters, "cluster count mismatch");
-        self.makespan_cycles += other.makespan_cycles;
-        for (t, d) in self.per_cluster.iter_mut().zip(&other.per_cluster) {
-            t.accumulate(d);
-        }
-    }
-
     /// Total flops retired by all clusters.
     #[must_use]
     pub fn total_flops(&self) -> u64 {
@@ -327,19 +314,5 @@ mod tests {
         r.busy_cluster_cycles = 200;
         assert!((r.jobs_per_second() - 1.5).abs() < 1e-12);
         assert!((r.occupancy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_windows() {
-        let mut a = ScaleOutReport::new(1, 1.25e9);
-        a.makespan_cycles = 10;
-        a.per_cluster = vec![snap(100, 1)];
-        let mut b = ScaleOutReport::new(1, 1.25e9);
-        b.makespan_cycles = 5;
-        b.per_cluster = vec![snap(50, 2)];
-        a.merge(&b);
-        assert_eq!(a.makespan_cycles, 15);
-        assert_eq!(a.per_cluster[0].flops, 150);
-        assert_eq!(a.per_cluster[0].dma_busy_cycles, 3);
     }
 }

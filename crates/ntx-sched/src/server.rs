@@ -1,14 +1,15 @@
 //! The always-on job-serving front-end.
 //!
-//! [`Server`] owns a worker thread (`ntx-serve`) driving the scale-out
-//! backends; any number of client threads submit jobs through cloned
-//! [`Session`]s (see [`Server::session`]) over an mpsc channel. The
-//! farm runs as a persistent service: every submission is validated,
-//! planned and placed onto the least-loaded clusters the moment it
-//! arrives (graded cluster subsets sized by the measured-duration
-//! [`DurationTable`]); the worker interleaves admission with per-shard
-//! farm events ([`ClusterFarm::step`]) and delivers each [`Completion`]
-//! the event its last shard retires. A late-arriving small job lands on
+//! [`Server`] owns a worker thread (`ntx-serve`) driving a
+//! [`ScaleOutExecutor`]; any number of client
+//! threads submit jobs through cloned [`Session`]s (see
+//! [`Server::session`]) over an mpsc channel. The farm runs as a
+//! persistent service: every submission is validated, planned and
+//! placed onto the least-loaded clusters the moment it arrives (graded
+//! cluster subsets sized by the measured-duration [`DurationTable`]);
+//! the worker interleaves admission with per-shard farm events
+//! ([`ClusterFarm::step`]) and delivers each [`Completion`] the event
+//! its last shard retires. A late-arriving small job lands on
 //! whichever cluster frees up first instead of waiting for unrelated
 //! work to retire.
 //!
@@ -24,11 +25,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::backend::{
-    AdmittedJob, AnalyticalBackend, Backend, BackendKind, DurationTable, NativeHost,
-    SimulatorBackend,
-};
-use crate::executor::{JobResult, ScaleOutConfig};
+use crate::backend::BackendKind;
+use crate::executor::{lost_job, Admitted, JobResult, ScaleOutConfig, ScaleOutExecutor};
 use crate::job::{Job, JobKind, JobOpts};
 use crate::report::ServingReport;
 use crate::session::Session;
@@ -531,11 +529,7 @@ impl DoneIds {
 /// release can re-enter admission from any point in the loop (a retire
 /// event, or a predecessor that completed during its own admission).
 struct ContinuousState {
-    sim: SimulatorBackend,
-    model: AnalyticalBackend,
-    native_fast: NativeHost,
-    native_exact: NativeHost,
-    table: DurationTable,
+    exec: ScaleOutExecutor,
     stats: ServingReport,
     /// Farm-placed jobs whose completion a client is waiting for.
     pending: Vec<(u64, Pending)>,
@@ -575,66 +569,57 @@ impl ContinuousState {
 
     /// Admits one dependency-free job. Returns `Some(id)` when the
     /// job's completion was delivered during admission (estimate and
-    /// native backends answer inline; simulator admission can reject),
-    /// so the caller can cascade the release of its dependents; `None`
+    /// native backends answer inline; farm admission can reject), so
+    /// the caller can cascade the release of its dependents; `None`
     /// when the job was placed on the farm and will finish at a retire
     /// event.
     fn admit(&mut self, job: Job, p: Pending, gauge: &AdmissionGauge) -> Option<u64> {
-        match job.opts.backend {
-            // Estimates and native jobs never touch the farm: answer
-            // immediately, off the simulated clock.
-            BackendKind::Estimate | BackendKind::NativeFast | BackendKind::NativeExact => {
-                let backend: &mut dyn Backend = match job.opts.backend {
-                    BackendKind::Estimate => &mut self.model,
-                    BackendKind::NativeFast => &mut self.native_fast,
-                    _ => &mut self.native_exact,
-                };
-                let id = job.id;
-                let result = match backend.admit(&job) {
-                    Ok(work) => {
-                        let mut batch = backend.run_batch(vec![AdmittedJob { job, work }]);
-                        Ok(batch.results.pop().expect("one result per admitted job"))
-                    }
-                    Err(e) => Err(e),
-                };
-                deliver(
-                    &mut self.stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    id,
-                    result,
-                );
-                Some(id)
+        let id = job.id;
+        let admitted = self.exec.admit(&job);
+        // Free the operands before the completion wakes the client: its
+        // next submission can then reuse their pages instead of
+        // faulting in fresh ones.
+        drop(job);
+        let result = match admitted {
+            Ok(Admitted::Placed) => {
+                self.pending.push((id, p));
+                return None;
             }
-            BackendKind::Simulate => {
-                match self
-                    .sim
-                    .admit_continuous_within(&job, &self.table, job.opts.deadline_cycles)
-                {
-                    Ok(_) => {
-                        self.pending.push((job.id, p));
-                        None
-                    }
-                    Err(e) => {
-                        if matches!(e, SchedError::DeadlineUnmeetable { .. }) {
-                            self.stats.shed_jobs += 1;
-                        }
-                        let id = job.id;
-                        deliver(
-                            &mut self.stats,
-                            gauge,
-                            p.submitted,
-                            p.deadline,
-                            p.reply,
-                            id,
-                            Err(e),
-                        );
-                        Some(id)
-                    }
+            Ok(Admitted::Answered(answer)) => Ok(answer),
+            Err(e) => {
+                if matches!(e, SchedError::DeadlineUnmeetable { .. }) {
+                    self.stats.shed_jobs += 1;
                 }
+                Err(e)
             }
+        };
+        deliver(
+            &mut self.stats,
+            gauge,
+            p.submitted,
+            p.deadline,
+            p.reply,
+            id,
+            result,
+        );
+        Some(id)
+    }
+
+    /// Delivers the farm's outcome for placed job `id` and admits the
+    /// dependents its completion releases.
+    fn complete(&mut self, id: u64, result: Result<JobResult, SchedError>, gauge: &AdmissionGauge) {
+        if let Some(p) = take(&mut self.pending, id) {
+            deliver(
+                &mut self.stats,
+                gauge,
+                p.submitted,
+                p.deadline,
+                p.reply,
+                id,
+                result,
+            );
+            let released = self.finish(id);
+            self.drain_ready(released, gauge);
         }
     }
 
@@ -668,7 +653,8 @@ impl ContinuousState {
 /// group in priority order, each job placed on the least-loaded
 /// clusters at that instant; (2) retires exactly one farm shard event,
 /// folds its measured duration into the [`DurationTable`], and
-/// delivers the completion if that job just finished. Admission is
+/// delivers the completion if that job just finished — or fails the
+/// jobs a cluster kill left without a live cluster. Admission is
 /// therefore interleaved with execution at shard granularity: a job
 /// that arrives mid-run waits at most one shard before it is placed,
 /// and its completion never waits for unrelated jobs.
@@ -696,11 +682,7 @@ fn continuous_loop(
     gauge: &AdmissionGauge,
 ) -> ServingReport {
     let mut st = ContinuousState {
-        sim: SimulatorBackend::new(config.scale_out),
-        model: AnalyticalBackend::new(&config.scale_out),
-        native_fast: NativeHost::fast(&config.scale_out),
-        native_exact: NativeHost::exact(&config.scale_out),
-        table: DurationTable::new(),
+        exec: ScaleOutExecutor::new(config.scale_out),
         stats: ServingReport::new(config.scale_out.clusters),
         pending: Vec::new(),
         done: DoneIds::default(),
@@ -717,7 +699,7 @@ fn continuous_loop(
         // arrive on this channel.
         group.clear();
         if open {
-            if !st.sim.has_farm_work() {
+            if !st.exec.sim().has_farm_work() {
                 match rx.recv() {
                     Ok(Msg::Submit(s)) => group.push(*s),
                     Ok(Msg::Shutdown) | Err(_) => open = false,
@@ -779,30 +761,21 @@ fn continuous_loop(
             }
         }
         st.drain_ready(ready, gauge);
-        // Retire one shard event, deliver any finished job, and admit
-        // the dependents that completion releases.
-        if let Some(retire) = st.sim.step_farm() {
-            st.table
-                .observe(retire.class, retire.est_cycles, retire.cycles);
-            st.stats.busy_cluster_cycles += retire.cycles;
-            if let Some(result) = retire.result {
-                if let Some(p) = take(&mut st.pending, result.job_id) {
-                    let id = result.job_id;
-                    deliver(
-                        &mut st.stats,
-                        gauge,
-                        p.submitted,
-                        p.deadline,
-                        p.reply,
-                        id,
-                        Ok(result),
-                    );
-                    let released = st.finish(id);
-                    st.drain_ready(released, gauge);
+        // Retire one shard event, deliver any finished or lost job, and
+        // admit the dependents those completions release.
+        let retire = st.exec.retire();
+        for id in st.exec.take_lost() {
+            st.complete(id, Err(lost_job()), gauge);
+        }
+        match retire {
+            Some(retire) => {
+                st.stats.busy_cluster_cycles += retire.cycles;
+                if let Some(result) = retire.result {
+                    st.complete(result.job_id, Ok(result), gauge);
                 }
             }
-        } else if !open {
-            break;
+            None if !open => break,
+            None => {}
         }
     }
     // The channel is closed and the farm is drained: any job still
@@ -821,16 +794,17 @@ fn continuous_loop(
         );
     }
     let mut stats = st.stats;
-    stats.makespan_cycles = st.sim.farm_makespan();
-    let totals = st.sim.perf_totals();
+    let sim = st.exec.sim();
+    stats.makespan_cycles = sim.farm_makespan();
+    let totals = sim.perf_totals();
     stats.ext_wait_cycles = totals.ext_wait_cycles;
     stats.ext_remote_bytes = totals.ext_remote_bytes;
     stats.ext_remote_wait_cycles = totals.ext_remote_wait_cycles;
     stats.fault_stall_cycles = totals.fault_stall_cycles;
-    let faults = st.sim.fault_stats();
+    let faults = sim.fault_stats();
     stats.faults_injected = faults.faults_injected;
     stats.shards_retried = faults.shards_retried;
-    let pool = st.sim.pool_stats();
+    let pool = sim.pool_stats();
     stats.worker_threads = pool.worker_threads;
     stats.pool_shards_merged = pool.shards_merged;
     stats.pool_shards_reclaimed = pool.shards_reclaimed;
@@ -1164,6 +1138,37 @@ mod tests {
     }
 
     #[test]
+    fn kill_of_the_last_cluster_fails_its_jobs_and_keeps_serving() {
+        // One cluster, killed mid-shard: no survivor can re-run the
+        // orphaned shard, so its job fails with a capacity error
+        // instead of taking the serving thread down. Later simulated
+        // jobs fail at admission, and the native backend still serves.
+        let faults = crate::FaultPlan::NONE.with_seed(1).with_kill(0, 100);
+        let server = Server::start(ServerConfig::with_clusters(1).with_faults(faults));
+        let session = server.session();
+        let inflight = session
+            .job("inflight")
+            .kind(axpy(2000, 3))
+            .submit()
+            .unwrap();
+        let result = inflight.wait().unwrap().result;
+        assert!(matches!(result, Err(SchedError::Capacity(_))), "{result:?}");
+        let later = session.job("later").kind(axpy(2000, 5)).submit().unwrap();
+        let result = later.wait().unwrap().result;
+        assert!(matches!(result, Err(SchedError::Capacity(_))), "{result:?}");
+        let native = session
+            .job("native")
+            .kind(axpy(2000, 7))
+            .native_exact()
+            .submit()
+            .unwrap();
+        assert!(native.wait().unwrap().result.is_ok());
+        let report = server.shutdown();
+        assert_eq!(report.jobs, 3);
+        assert_eq!(report.failed, 2);
+    }
+
+    #[test]
     fn wait_timeout_reports_shutdown_when_worker_is_gone() {
         // Regression: a handle whose completion channel died (worker
         // thread dropped mid-wait) must surface Err(Shutdown), not
@@ -1350,12 +1355,12 @@ mod tests {
         // Continuous admission delivers each completion the shard
         // event its job retires: with several substantial jobs in the
         // farm, the first delivery happens well before the last —
-        // unlike a wave, which holds every completion until the whole
-        // batch has retired (the report-serving benchmark measures
-        // that contrast; the deterministic virtual-time overtake is
-        // asserted in the proptest suite). Exact delivery interleaving
-        // depends on how submissions group, so this asserts the
-        // streaming property rather than a specific order.
+        // unlike `run_queue`, which returns every result once the whole
+        // queue has drained. The deterministic virtual-time overtake
+        // is asserted in the proptest suite
+        // (`late_small_job_overtakes_inflight_wave`). Exact delivery
+        // interleaving depends on how submissions group, so this
+        // asserts the streaming property rather than a specific order.
         let server = Server::start(ServerConfig::with_clusters(4));
         let session = server.session();
         let latencies = Arc::new(std::sync::Mutex::new(Vec::new()));
