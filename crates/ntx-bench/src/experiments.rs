@@ -540,56 +540,71 @@ pub struct PoolScalingPoint {
     pub speedup: f64,
 }
 
-/// One continuous-admission drive of the pool-scaling workload on
-/// `threads` pool threads: admits every job (two shard events
-/// interleaved per admission, as the server does), drains the farm,
-/// and returns the wall-clock throughput plus the full observable
-/// record for the cross-thread-count differential.
-fn pool_scaling_run(
+/// Everything one continuous farm drive produces.
+struct FarmDrive {
+    /// Per-job results in submission order.
+    results: Vec<ntx_sched::JobResult>,
+    /// Where each job landed, in submission order.
+    placements: Vec<ntx_sched::Placement>,
+    /// `(job, cluster, clock, cycles)` of each retired shard, in
+    /// retire order.
+    trace: Vec<(u64, usize, u64, u64)>,
+    /// Virtual farm makespan, cycles.
+    makespan: u64,
+    /// Counter totals over every retired shard.
+    totals: PerfSnapshot,
+    /// Host wall time of the admissions and retires, seconds.
+    wall_s: f64,
+}
+
+/// Admits `jobs` in submission order into a fresh simulator farm built
+/// from `config`, retiring `steps_between` shard events after each
+/// admission (0 is admit-all-then-drain, what
+/// `ScaleOutExecutor::run_queue` does; 2 interleaves as the server
+/// does), then drains it. Every retire feeds the measured-duration
+/// table, as the server's do.
+fn drive_farm(
     jobs: &[(String, ntx_sched::JobKind)],
-    clusters: usize,
-    threads: usize,
-) -> (f64, Vec<Vec<f32>>, Vec<(u64, usize, u64, u64)>, u64) {
-    use ntx_sched::{DurationTable, Job, JobResult, ScaleOutConfig, SimulatorBackend};
-    let config = ScaleOutConfig::with_clusters(clusters).with_worker_threads(threads);
+    config: ntx_sched::ScaleOutConfig,
+    steps_between: usize,
+) -> FarmDrive {
+    use ntx_sched::{DurationTable, Job, JobResult, SimulatorBackend};
     let mut sim = SimulatorBackend::new(config);
     let mut table = DurationTable::new();
+    let mut placements = Vec::with_capacity(jobs.len());
     let mut trace = Vec::new();
     let mut results: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
     let t0 = std::time::Instant::now();
-    let mut settle = |r: ntx_sched::ShardRetire,
-                      table: &mut DurationTable,
-                      results: &mut Vec<Option<JobResult>>| {
+    let mut step = |sim: &mut SimulatorBackend, table: &mut DurationTable| {
+        let r = sim.step_farm()?;
         table.observe(r.class, r.est_cycles, r.cycles);
         trace.push((r.job_id, r.cluster, r.clock, r.cycles));
         if let Some(res) = r.result {
             let slot = res.job_id as usize;
             results[slot] = Some(res);
         }
+        Some(())
     };
     for (i, (label, kind)) in jobs.iter().enumerate() {
         let job = Job::new(i as u64, label.clone(), kind.clone());
-        sim.admit_continuous(&job, &table).expect("admit");
-        for _ in 0..2 {
-            if let Some(r) = sim.step_farm() {
-                settle(r, &mut table, &mut results);
-            }
+        placements.push(sim.admit_continuous(&job, &table).expect("admit"));
+        for _ in 0..steps_between {
+            step(&mut sim, &mut table);
         }
     }
-    while let Some(r) = sim.step_farm() {
-        settle(r, &mut table, &mut results);
+    while step(&mut sim, &mut table).is_some() {}
+    let wall_s = t0.elapsed().as_secs_f64();
+    FarmDrive {
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every admitted job retires"))
+            .collect(),
+        placements,
+        trace,
+        makespan: sim.farm_makespan(),
+        totals: sim.perf_totals(),
+        wall_s,
     }
-    let wall = t0.elapsed().as_secs_f64();
-    let jps = if wall > 0.0 {
-        jobs.len() as f64 / wall
-    } else {
-        0.0
-    };
-    let outputs = results
-        .into_iter()
-        .map(|r| r.expect("every job retires").output)
-        .collect();
-    (jps, outputs, trace, sim.farm_makespan())
 }
 
 /// Runs the worker-pool core-scaling sweep: the serving mix repeated
@@ -606,7 +621,20 @@ fn pool_scaling_sweep(clusters: usize) -> (Vec<PoolScalingPoint>, f64, bool) {
                 .map(move |(label, kind)| (format!("{label} r{rep}"), kind))
         })
         .collect();
-    let (base_jps, base_out, base_trace, base_makespan) = pool_scaling_run(&jobs, clusters, 1);
+    // Two shard events interleaved per admission, as the server does.
+    let run = |threads| {
+        let config = ntx_sched::ScaleOutConfig::with_clusters(clusters);
+        drive_farm(&jobs, config.with_worker_threads(threads), 2)
+    };
+    let jobs_per_second = |d: &FarmDrive| {
+        if d.wall_s > 0.0 {
+            jobs.len() as f64 / d.wall_s
+        } else {
+            0.0
+        }
+    };
+    let base = run(1);
+    let base_jps = jobs_per_second(&base);
     let mut points = vec![PoolScalingPoint {
         threads: 1,
         jobs_per_second: base_jps,
@@ -615,13 +643,11 @@ fn pool_scaling_sweep(clusters: usize) -> (Vec<PoolScalingPoint>, f64, bool) {
     let mut identical = true;
     let mut speedup_4x = 1.0;
     for threads in [2usize, 4] {
-        let (jps, out, trace, makespan) = pool_scaling_run(&jobs, clusters, threads);
-        identical &= out.len() == base_out.len()
-            && out.iter().zip(&base_out).all(|(a, b)| {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            })
-            && trace == base_trace
-            && makespan == base_makespan;
+        let pooled = run(threads);
+        let jps = jobs_per_second(&pooled);
+        identical &= outputs_match(&pooled.results, &base.results)
+            && pooled.trace == base.trace
+            && pooled.makespan == base.makespan;
         let speedup = if base_jps > 0.0 { jps / base_jps } else { 0.0 };
         if threads == 4 {
             speedup_4x = speedup;
@@ -735,52 +761,17 @@ fn serve_queue(jobs: &[(String, ntx_sched::JobKind)], clusters: usize) -> Server
     }
 }
 
-/// One drive of the serving mix through continuous admission, plus
-/// its barriered same-placement replay.
-struct FarmRun {
-    /// Per-job results in submission order.
-    results: Vec<ntx_sched::JobResult>,
-    /// Virtual farm makespan, cycles.
-    makespan: u64,
-    /// The barriered replay of the exact placement the drive chose.
-    oracle: ntx_sched::BatchResult,
-}
-
-/// Admits the mixed queue into a fresh farm in submission order,
-/// retiring `steps_between` shard events after each admission (0 is
-/// admit-all-then-drain, what `ScaleOutExecutor::run_queue` does; 2
-/// interleaves as the server does), drains it, then replays the
-/// *exact* placement it chose into a fresh barriered farm — the
-/// differential oracle.
+/// Drives the mixed queue through a fresh farm (see [`drive_farm`]),
+/// then replays the *exact* placement it chose into a fresh barriered
+/// farm — the differential oracle.
 fn farm_run(
     jobs: &[(String, ntx_sched::JobKind)],
     clusters: usize,
     steps_between: usize,
-) -> FarmRun {
-    use ntx_sched::{ClusterFarm, DurationTable, Job, JobResult, ScaleOutConfig, SimulatorBackend};
+) -> (FarmDrive, ntx_sched::BatchResult) {
+    use ntx_sched::{ClusterFarm, Job, ScaleOutConfig};
     let config = ScaleOutConfig::with_clusters(clusters);
-    let mut sim = SimulatorBackend::new(config);
-    let mut table = DurationTable::new();
-    let mut placements = Vec::new();
-    let mut results: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-    let mut step = |sim: &mut SimulatorBackend, table: &mut DurationTable| {
-        let r = sim.step_farm()?;
-        table.observe(r.class, r.est_cycles, r.cycles);
-        if let Some(res) = r.result {
-            let slot = res.job_id as usize;
-            results[slot] = Some(res);
-        }
-        Some(())
-    };
-    for (i, (label, kind)) in jobs.iter().enumerate() {
-        let job = Job::new(i as u64, label.clone(), kind.clone());
-        placements.push(sim.admit_continuous(&job, &table).expect("admit"));
-        for _ in 0..steps_between {
-            step(&mut sim, &mut table);
-        }
-    }
-    while step(&mut sim, &mut table).is_some() {}
-
+    let drive = drive_farm(jobs, config, steps_between);
     // The oracle: identical placement, barriered accounting
     // (Placement::replay asserts the rebuilt shard count matches).
     let mut farm = ClusterFarm::with_memory(clusters, config.cluster, config.memory);
@@ -789,19 +780,13 @@ fn farm_run(
         .enumerate()
         .map(|(i, (label, kind))| {
             let job = Job::new(i as u64, label.clone(), kind.clone());
-            placements[i]
+            drive.placements[i]
                 .replay(&job, farm.reference_cluster())
                 .expect("replay plan")
         })
         .collect();
-    FarmRun {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every admitted job retires"))
-            .collect(),
-        makespan: sim.farm_makespan(),
-        oracle: farm.run_batch(placed),
-    }
+    let oracle = farm.run_batch(placed);
+    (drive, oracle)
 }
 
 /// Per-job outputs bitwise equal.
@@ -835,8 +820,7 @@ pub fn serving_report() -> ServingBenchReport {
 
     // The queue admitted whole, then drained, against the barriered
     // replay of the same placement.
-    let pipelined = farm_run(&jobs, clusters, 0);
-    let barriered = &pipelined.oracle;
+    let (pipelined, barriered) = farm_run(&jobs, clusters, 0);
     // Independent oracle: the full-width executor shards every job
     // across all clusters (different schedules, different DMA
     // traffic), back to back — outputs must still match bit for bit.
@@ -876,10 +860,10 @@ pub fn serving_report() -> ServingBenchReport {
     // Continuous admission interleaved with retires, as the server
     // runs it, against its barriered same-placement oracle: the
     // farm-as-a-service path must not change a single bit.
-    let continuous_run = farm_run(&jobs, clusters, 2);
+    let (continuous_run, continuous_oracle) = farm_run(&jobs, clusters, 2);
     let continuous_bit_identical =
-        outputs_match(&continuous_run.results, &continuous_run.oracle.results)
-            && windows_match(&continuous_run.results, &continuous_run.oracle.results);
+        outputs_match(&continuous_run.results, &continuous_oracle.results)
+            && windows_match(&continuous_run.results, &continuous_oracle.results);
 
     // The async front-end under multi-client load.
     let continuous = serve_queue(&jobs, clusters);
@@ -2049,9 +2033,7 @@ fn chaos_outputs_identical(a: &[Option<Vec<f32>>], b: &[Option<Vec<f32>>]) -> bo
 /// continuously (the only path fault plans flow through), healthy vs
 /// degraded link, returns `(healthy wait, degraded wait, bit_identical)`.
 fn chaos_link_fault() -> (u64, u64, bool) {
-    use ntx_sched::{
-        DurationTable, FaultPlan, HmcConfig, Job, MeshConfig, ScaleOutConfig, SimulatorBackend,
-    };
+    use ntx_sched::{FaultPlan, HmcConfig, MeshConfig, ScaleOutConfig};
     let mesh = MeshConfig::default()
         .with_cubes(2)
         .with_cube(HmcConfig::default().with_interconnect_bits(64));
@@ -2060,30 +2042,14 @@ fn chaos_link_fault() -> (u64, u64, bool) {
     let base = ScaleOutConfig::with_clusters(4)
         .with_hmc_mesh(mesh)
         .without_affinity();
-    let run = |plan: FaultPlan| -> (u64, Vec<Option<Vec<f32>>>) {
-        let mut sim = SimulatorBackend::new(base.with_faults(plan));
-        let table = DurationTable::new();
-        let jobs = serving_jobs();
-        let mut outputs: Vec<Option<Vec<f32>>> = (0..jobs.len()).map(|_| None).collect();
-        for (i, (label, kind)) in jobs.into_iter().enumerate() {
-            let job = Job::new(i as u64, label, kind);
-            sim.admit_continuous(&job, &table).expect("mesh admission");
-        }
-        while let Some(r) = sim.step_farm() {
-            if let Some(res) = r.result {
-                let slot = res.job_id as usize;
-                outputs[slot] = Some(res.output);
-            }
-        }
-        (sim.perf_totals().ext_remote_wait_cycles, outputs)
-    };
+    let run = |plan: FaultPlan| drive_farm(&serving_jobs(), base.with_faults(plan), 0);
     // Clip the link to 1/4 bandwidth for (effectively) the whole run.
-    let (base_wait, base_out) = run(FaultPlan::NONE);
-    let (faulted_wait, faulted_out) = run(FaultPlan::NONE.with_link_fault(1 << 14, 0, 1 << 40));
+    let healthy = run(FaultPlan::NONE);
+    let faulted = run(FaultPlan::NONE.with_link_fault(1 << 14, 0, 1 << 40));
     (
-        base_wait,
-        faulted_wait,
-        chaos_outputs_identical(&base_out, &faulted_out),
+        healthy.totals.ext_remote_wait_cycles,
+        faulted.totals.ext_remote_wait_cycles,
+        outputs_match(&healthy.results, &faulted.results),
     )
 }
 

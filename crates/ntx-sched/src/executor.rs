@@ -56,11 +56,11 @@ pub struct ScaleOutConfig {
     pub faults: ntx_sim::FaultPlan,
     /// Worker threads for the farm's cluster pool. `0` (the default)
     /// resolves via the `NTX_WORKER_THREADS` env variable, falling
-    /// back to serial; `1` forces serial; `> 1` steps clusters
-    /// speculatively on that many threads while the merge front keeps
-    /// retire order — and every output and counter — bit-identical to
-    /// the serial farm. Only the barriered oracle always executes
-    /// serially.
+    /// back to 1; `1` runs every shard inline on the merge thread;
+    /// `> 1` steps clusters speculatively on that many threads (at
+    /// most one per cluster) while the merge front keeps retire order
+    /// — and every output and counter — bit-identical to the inline
+    /// farm. Only the barriered oracle always runs inline.
     pub worker_threads: usize,
 }
 
@@ -123,7 +123,7 @@ impl ScaleOutConfig {
     }
 
     /// Sets the worker-pool width of the farm (`0` = resolve from the
-    /// `NTX_WORKER_THREADS` env variable, `1` = serial).
+    /// `NTX_WORKER_THREADS` env variable, `1` = inline).
     #[must_use]
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;

@@ -10,7 +10,23 @@
 //! and small jobs placed on disjoint cluster subsets run concurrently
 //! (cluster-level space sharing).
 //!
-//! Two drives of the same per-shard simulations:
+//! One routine runs a shard. Each cluster is a private `ClusterSlot`
+//! (its state, local clock, dead flag and queued plans), and the
+//! slot's `run` does all of a shard's work: the kill check, the plan
+//! backup, `run_shard`, the straddle abort, the readback gather and
+//! the stall attribution. The slots live in one of two engines:
+//!
+//! * **inline** (`worker_threads = 1`): the merge thread runs a
+//!   cluster's next shard when the event selection reaches it;
+//! * **pooled**: worker threads own the slots and run each shard the
+//!   moment it is queued, speculatively.
+//!
+//! Each cluster runs its shards in admission order on both engines,
+//! and every cross-cluster decision — event selection, kill
+//! detection, re-placement, the stall and fault counters — is made on
+//! the merge thread, so the engines are bit-identical.
+//!
+//! Two drives feed the slots:
 //!
 //! * **continuous** ([`admit`](ClusterFarm::admit) /
 //!   [`step`](ClusterFarm::step) / [`drain`](ClusterFarm::drain)):
@@ -21,8 +37,8 @@
 //! * **barriered** ([`run_batch`](ClusterFarm::run_batch)): a
 //!   pre-placed batch where every job waits for the slowest cluster
 //!   of its predecessor, so the batch makespan is
-//!   `Σ_j max_c shard(c, j)` — the differential oracle, mirroring the
-//!   simulator's `fast_path: false` pattern.
+//!   `Σ_j max_c shard(c, j)` — the fault-free differential oracle,
+//!   mirroring the simulator's `fast_path: false` pattern.
 //!
 //! Each shard executes in an isolated idle-to-idle measurement window
 //! on its cluster (staging is host work; clusters advance their local
@@ -91,25 +107,14 @@ pub struct PlacedJob {
 /// How a shard's AXI port is wired for its run: the grant schedule of
 /// the job's home cube as seen from the executing cluster, plus the
 /// hop cost when that cube is remote. Pure data computed from the
-/// static mesh geometry, so both drive modes (and every pool worker)
-/// wire shards identically.
+/// static mesh geometry, so every engine and every pool worker wires
+/// shards identically.
 #[derive(Debug, Clone, Copy)]
 struct ShardWiring {
     port: HmcPort,
     remote: bool,
     latency: u64,
 }
-
-/// One entry of a cluster's shard FIFO.
-#[derive(Debug)]
-struct ShardTask {
-    job_idx: usize,
-    plan: ClusterPlan,
-    wiring: Option<ShardWiring>,
-}
-
-/// Per-shard measurement: which job, its counter delta, its duration.
-type ShardRecord = (usize, PerfSnapshot, u64);
 
 /// Fault-recovery counters of one farm run (continuous drive; the
 /// barriered oracle never injects faults).
@@ -125,22 +130,25 @@ pub struct FaultStats {
 /// Worker-pool utilization counters of one continuous farm run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Resolved worker-thread count stepping the continuous farm
-    /// (1 = the serial merge loop runs shards inline).
+    /// Worker threads stepping the continuous farm: the resolved
+    /// request, capped at the cluster count because each cluster runs
+    /// on one thread. 1 means the inline engine, unless more threads
+    /// were requested for a 1-cluster farm: one pool thread then runs
+    /// its shards and `shards_merged` counts them.
     pub worker_threads: usize,
     /// Shards executed speculatively on pool workers and folded in at
-    /// the deterministic `(clock, cluster)` retire front.
+    /// the deterministic `(clock, cluster)` retire front (0 inline).
     pub shards_merged: u64,
     /// Speculated shards invalidated by a cluster kill: the aborted
     /// in-flight shard plus every queued plan reclaimed from the dead
-    /// worker for re-placement on survivors.
+    /// worker for re-placement on survivors (0 inline).
     pub shards_reclaimed: u64,
 }
 
 /// Resolves a requested worker-thread count for the continuous farm:
 /// an explicit `requested > 0` wins; `0` means auto — the
 /// `NTX_WORKER_THREADS` environment variable when set to a positive
-/// integer, else `1` (the serial merge loop).
+/// integer, else `1` (the inline engine).
 #[must_use]
 pub fn resolve_worker_threads(requested: usize) -> usize {
     if requested > 0 {
@@ -153,31 +161,15 @@ pub fn resolve_worker_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// A command to a pool worker. Per-cluster `Run`s arrive in admission
-/// order (the merge thread is the only sender), so each cluster's
-/// speculative execution order matches the serial farm's FIFO exactly.
-enum WorkerCmd {
-    /// Execute the next queued shard of `cluster` speculatively.
-    /// (The plan is boxed so the enum stays channel-slot sized.)
-    Run {
-        cluster: usize,
-        plan: Box<ClusterPlan>,
-        wiring: Option<ShardWiring>,
-    },
-    /// Return every plan stashed on a dead `cluster` (the merge thread
-    /// detected its kill and is about to re-place the orphans).
-    Reclaim { cluster: usize },
-}
-
-/// A pool worker's answer for one shard of one cluster, delivered on
-/// that cluster's result channel in execution (= admission) order.
+/// A slot's answer for one shard of its cluster, delivered in
+/// admission order.
 enum ShardOutcome {
     /// The shard ran to completion before any armed kill cycle.
     Retired {
         perf: PerfSnapshot,
         cycles: u64,
-        /// `(output offset, data)` readback segments, gathered on the
-        /// worker because the job's output vector lives merge-side.
+        /// `(output offset, data)` readback segments: the job's output
+        /// vector lives with the merge thread, which copies them in.
         reads: Vec<(usize, Vec<f32>)>,
     },
     /// The shard straddled the cluster's kill cycle: its effects are
@@ -188,148 +180,178 @@ enum ShardOutcome {
     Reclaimed { plans: Vec<ClusterPlan> },
 }
 
-/// One cluster's state as owned by a pool worker thread.
-struct WorkerSlot {
+/// A shard plan queued on one cluster, with its port wiring.
+type QueuedPlan = (ClusterPlan, Option<ShardWiring>);
+
+/// One cluster's private execution state. The merge thread owns every
+/// slot on the inline engine; a pool worker owns it on the pooled one.
+/// Either way [`run`](Self::run) is the only code that executes a
+/// shard.
+#[derive(Debug)]
+struct ClusterSlot {
+    /// The cluster's index in the farm, the fault plan's key.
+    index: u32,
     cluster: Cluster,
     /// Local mirror of the merge thread's virtual clock for this
     /// cluster — both are the same pure sum of retired shard cycles
     /// plus injected stalls, so kill/stall decisions agree bit-exactly.
     clock: u64,
     /// Set once the clock reaches an armed kill cycle (or a shard
-    /// straddles it): later `Run`s are stashed, never executed.
+    /// straddles it): queued shards then stay stashed, never run.
     dead: bool,
-    stash: Vec<ClusterPlan>,
-    tx: mpsc::Sender<ShardOutcome>,
+    /// Shards queued here and not yet run, in admission order. A pool
+    /// worker runs each shard as it arrives, so there only a dead
+    /// cluster's stash builds up.
+    stash: VecDeque<QueuedPlan>,
+}
+
+impl ClusterSlot {
+    fn new(index: usize, cluster: Cluster) -> Self {
+        Self {
+            index: u32::try_from(index).expect("cluster index fits u32"),
+            cluster,
+            clock: 0,
+            dead: false,
+            stash: VecDeque::new(),
+        }
+    }
+
+    /// Runs the oldest queued shard to completion and returns its
+    /// outcome. `None` when nothing is queued, or when the cluster has
+    /// crossed its kill cycle: the shard then stays stashed for
+    /// [`reclaim`](Self::reclaim).
+    fn run(&mut self, faults: &FaultPlan) -> Option<ShardOutcome> {
+        let kill_at = faults.kill_cycle(self.index);
+        if self.dead || kill_at.is_some_and(|at| self.clock >= at) {
+            self.dead = true;
+            return None;
+        }
+        let (mut plan, wiring) = self.stash.pop_front()?;
+        // With a kill armed the shard might straddle the kill cycle;
+        // keep a copy so the aborted work can be re-placed
+        // bit-identically (`run_shard` consumes the tiles).
+        let backup = kill_at.map(|_| plan.clone());
+        let start = self.clock;
+        let (perf, cycles) = run_shard(&mut self.cluster, &mut plan, wiring);
+        if let Some(at) = kill_at.filter(|&at| start + cycles > at) {
+            // Mid-shard kill: discard the run — no readback, clock
+            // frozen at the kill cycle — and hand the backup plan back
+            // for re-placement.
+            self.clock = at;
+            self.dead = true;
+            let plan = backup.expect("kill armed implies a plan backup");
+            return Some(ShardOutcome::Aborted { plan });
+        }
+        // The inputs are staged: free them before the output buffers
+        // are allocated.
+        let readbacks = std::mem::take(&mut plan.readbacks);
+        drop(plan);
+        let reads = readbacks
+            .iter()
+            .map(|rb| {
+                let mut buf = vec![0f32; rb.len as usize];
+                match rb.source {
+                    ReadbackSource::Ext(addr) => {
+                        self.cluster.ext_mem().read_f32_into(addr, &mut buf)
+                    }
+                    ReadbackSource::Tcdm(addr) => self.cluster.read_tcdm_into(addr, &mut buf),
+                }
+                (rb.dst, buf)
+            })
+            .collect();
+        self.clock = start + cycles;
+        // Transient stalls: windows whose boundary the shard crossed
+        // freeze the cluster afterwards. Dead time is attributed to the
+        // fault counter, not to the shard, so per-job outputs and
+        // counters stay bit-identical to the fault-free run.
+        let stall = faults.stall_between(self.index, start, self.clock);
+        if stall > 0 {
+            self.cluster.attribute_fault_stall(stall);
+            self.clock += stall;
+        }
+        Some(ShardOutcome::Retired {
+            perf,
+            cycles,
+            reads,
+        })
+    }
+
+    /// Marks the cluster dead and hands back every plan still queued on
+    /// it, in admission order.
+    fn reclaim(&mut self) -> Vec<ClusterPlan> {
+        self.dead = true;
+        self.stash.drain(..).map(|(plan, _)| plan).collect()
+    }
+}
+
+/// A command to a pool worker about one of its clusters. The merge
+/// thread is the only sender, so each cluster's `Run`s arrive in
+/// admission order.
+enum WorkerCmd {
+    /// Queue a shard and run it speculatively. (Boxed so the command
+    /// stays channel-slot sized.)
+    Run(Box<QueuedPlan>),
+    /// Return every plan stashed on the dead cluster (the merge thread
+    /// detected its kill and is about to re-place the orphans).
+    Reclaim,
 }
 
 /// The body of one pool worker thread: owns a disjoint subset of the
-/// farm's clusters and runs their shard FIFOs speculatively. Exits
-/// when the command channel closes (the pool is dropped).
+/// farm's cluster slots, each with its result channel, and runs their
+/// shards as they arrive. Exits when the command channel closes (the
+/// pool is dropped).
 fn worker_loop(
-    mut owned: BTreeMap<usize, WorkerSlot>,
+    mut owned: BTreeMap<usize, (ClusterSlot, mpsc::Sender<ShardOutcome>)>,
     faults: FaultPlan,
-    rx: mpsc::Receiver<WorkerCmd>,
+    rx: mpsc::Receiver<(usize, WorkerCmd)>,
 ) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WorkerCmd::Run {
-                cluster,
-                mut plan,
-                wiring,
-            } => {
-                let slot = owned
-                    .get_mut(&cluster)
-                    .expect("cluster owned by this worker");
-                let kill_at = faults.kill_cycle(cluster as u32);
-                if slot.dead || kill_at.is_some_and(|at| slot.clock >= at) {
-                    // The cluster crossed its kill cycle: the merge
-                    // thread will reclaim this plan for a survivor.
-                    slot.dead = true;
-                    slot.stash.push(*plan);
-                    continue;
-                }
-                let backup = kill_at.map(|_| plan.clone());
-                let start = slot.clock;
-                let (perf, cycles) = run_shard(&mut slot.cluster, &mut plan, wiring);
-                if let Some(at) = kill_at {
-                    if start + cycles > at {
-                        // Mid-shard kill: discard the run, freeze the
-                        // clock, hand the backup plan to the merge
-                        // thread for re-placement.
-                        slot.clock = at;
-                        slot.dead = true;
-                        let plan = *backup.expect("kill armed implies a plan backup");
-                        let _ = slot.tx.send(ShardOutcome::Aborted { plan });
-                        continue;
-                    }
-                }
-                let reads = plan
-                    .readbacks
-                    .iter()
-                    .map(|rb| {
-                        let mut buf = vec![0f32; rb.len as usize];
-                        match rb.source {
-                            ReadbackSource::Ext(addr) => {
-                                slot.cluster.ext_mem().read_f32_into(addr, &mut buf);
-                            }
-                            ReadbackSource::Tcdm(addr) => {
-                                slot.cluster.read_tcdm_into(addr, &mut buf);
-                            }
-                        }
-                        (rb.dst, buf)
-                    })
-                    .collect();
-                slot.clock = start + cycles;
-                let stall = faults.stall_between(cluster as u32, start, slot.clock);
-                if stall > 0 {
-                    slot.cluster.attribute_fault_stall(stall);
-                    slot.clock += stall;
-                }
-                let _ = slot.tx.send(ShardOutcome::Retired {
-                    perf,
-                    cycles,
-                    reads,
-                });
+    while let Ok((cluster, cmd)) = rx.recv() {
+        let (slot, tx) = owned
+            .get_mut(&cluster)
+            .expect("cluster owned by this worker");
+        let outcome = match cmd {
+            WorkerCmd::Run(queued) => {
+                slot.stash.push_back(*queued);
+                slot.run(&faults)
             }
-            WorkerCmd::Reclaim { cluster } => {
-                let slot = owned
-                    .get_mut(&cluster)
-                    .expect("cluster owned by this worker");
-                slot.dead = true;
-                let plans = std::mem::take(&mut slot.stash);
-                let _ = slot.tx.send(ShardOutcome::Reclaimed { plans });
-            }
+            WorkerCmd::Reclaim => Some(ShardOutcome::Reclaimed {
+                plans: slot.reclaim(),
+            }),
+        };
+        if let Some(outcome) = outcome {
+            let _ = tx.send(outcome);
         }
     }
 }
 
 /// The persistent worker pool of a pooled continuous farm: `threads`
-/// OS threads, each owning the clusters `c` with `c % threads == t`.
-/// Commands flow one channel per thread (preserving per-cluster FIFO
-/// order); results come back one channel per cluster so the merge
-/// thread can wait on exactly the cluster the deterministic retire
-/// order demands next.
+/// OS threads, each owning the cluster slots `c` with
+/// `c % threads == t`. Commands flow one channel per thread
+/// (preserving per-cluster FIFO order); results come back one channel
+/// per cluster so the merge thread can wait on exactly the cluster the
+/// deterministic retire order demands next.
+#[derive(Debug)]
 struct WorkerPool {
-    cmd_tx: Vec<mpsc::Sender<WorkerCmd>>,
+    cmd_tx: Vec<mpsc::Sender<(usize, WorkerCmd)>>,
     result_rx: Vec<mpsc::Receiver<ShardOutcome>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
-            .field("clusters", &self.result_rx.len())
-            .finish()
-    }
 }
 
 impl WorkerPool {
-    /// Moves the farm's clusters onto `threads` worker threads.
-    fn spawn(clusters: Vec<Cluster>, clocks: &[u64], faults: FaultPlan, threads: usize) -> Self {
-        let threads = threads.min(clusters.len()).max(1);
-        let mut result_rx = Vec::with_capacity(clusters.len());
-        let mut owned: Vec<BTreeMap<usize, WorkerSlot>> =
-            (0..threads).map(|_| BTreeMap::new()).collect();
-        for (c, cluster) in clusters.into_iter().enumerate() {
+    /// Moves the farm's cluster slots onto `threads` worker threads.
+    fn spawn(slots: Vec<ClusterSlot>, faults: FaultPlan, threads: usize) -> Self {
+        let threads = threads.min(slots.len()).max(1);
+        let mut result_rx = Vec::with_capacity(slots.len());
+        let mut owned: Vec<BTreeMap<usize, _>> = (0..threads).map(|_| BTreeMap::new()).collect();
+        for (c, slot) in slots.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel();
             result_rx.push(rx);
-            owned[c % threads].insert(
-                c,
-                WorkerSlot {
-                    cluster,
-                    clock: clocks[c],
-                    dead: false,
-                    stash: Vec::new(),
-                    tx,
-                },
-            );
+            owned[c % threads].insert(c, (slot, tx));
         }
         let mut cmd_tx = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for slots in owned {
-            let (tx, rx) = mpsc::channel::<WorkerCmd>();
+            let (tx, rx) = mpsc::channel();
             cmd_tx.push(tx);
             let worker = std::thread::Builder::new()
                 .name(format!("ntx-pool-{}", handles.len()))
@@ -341,18 +363,13 @@ impl WorkerPool {
             cmd_tx,
             result_rx,
             handles,
-            threads,
         }
     }
 
-    /// Forwards one queued shard to its cluster's worker.
-    fn send_run(&self, cluster: usize, plan: ClusterPlan, wiring: Option<ShardWiring>) {
-        self.cmd_tx[cluster % self.threads]
-            .send(WorkerCmd::Run {
-                cluster,
-                plan: Box::new(plan),
-                wiring,
-            })
+    /// Sends `cmd` to the worker that owns `cluster`.
+    fn send(&self, cluster: usize, cmd: WorkerCmd) {
+        self.cmd_tx[cluster % self.cmd_tx.len()]
+            .send((cluster, cmd))
             .expect("pool worker thread alive");
     }
 
@@ -363,23 +380,6 @@ impl WorkerPool {
             .recv()
             .expect("pool worker thread alive")
     }
-
-    /// Synchronously recovers the stashed plans of a dead cluster. The
-    /// command channel is FIFO, so every `Run` sent before this has
-    /// been stashed by the time the worker answers — the plans line up
-    /// one-to-one with the merge thread's queued shard metadata.
-    fn reclaim(&self, cluster: usize) -> Vec<ClusterPlan> {
-        self.cmd_tx[cluster % self.threads]
-            .send(WorkerCmd::Reclaim { cluster })
-            .expect("pool worker thread alive");
-        match self.recv(cluster) {
-            ShardOutcome::Reclaimed { plans } => plans,
-            _ => unreachable!(
-                "every pre-kill shard outcome is consumed before the merge thread \
-                 detects the kill, so the reclaim answer is next on the channel"
-            ),
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -388,6 +388,76 @@ impl Drop for WorkerPool {
         self.cmd_tx.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
+        }
+    }
+}
+
+/// Where the farm's cluster slots live and run. The farm reaches them
+/// through three calls only: [`queue`](Self::queue),
+/// [`next`](Self::next) and [`reclaim`](Self::reclaim).
+#[derive(Debug)]
+enum Engine {
+    /// The merge thread owns the slots and runs each shard when the
+    /// event selection reaches its cluster.
+    Inline(Vec<ClusterSlot>),
+    /// Worker threads own the slots and run each shard the moment it
+    /// is queued; `reference` answers configuration queries.
+    Pooled {
+        pool: WorkerPool,
+        reference: Box<Cluster>,
+    },
+}
+
+impl Engine {
+    /// Queues a shard on `cluster`, behind every shard queued there
+    /// before.
+    fn queue(&mut self, cluster: usize, plan: ClusterPlan, wiring: Option<ShardWiring>) {
+        match self {
+            Self::Inline(slots) => slots[cluster].stash.push_back((plan, wiring)),
+            Self::Pooled { pool, .. } => {
+                pool.send(cluster, WorkerCmd::Run(Box::new((plan, wiring))));
+            }
+        }
+    }
+
+    /// The outcome of the oldest unanswered shard of `cluster`, a live
+    /// cluster with work queued: run now on the merge thread, or the
+    /// worker's speculative result, which counts in `stats`.
+    fn next(&mut self, cluster: usize, faults: &FaultPlan, stats: &mut PoolStats) -> ShardOutcome {
+        match self {
+            Self::Inline(slots) => slots[cluster]
+                .run(faults)
+                .expect("the merge thread steps only live clusters with queued shards"),
+            Self::Pooled { pool, .. } => {
+                let outcome = pool.recv(cluster);
+                match outcome {
+                    ShardOutcome::Retired { .. } => stats.shards_merged += 1,
+                    // The aborted in-flight shard was a dead speculation.
+                    _ => stats.shards_reclaimed += 1,
+                }
+                outcome
+            }
+        }
+    }
+
+    /// Every plan queued on the dead `cluster` and never run, in
+    /// admission order; reclaimed pool speculations count in `stats`.
+    /// A pool's command channel is FIFO, so every `Run` sent before the
+    /// reclaim has been stashed by the time the worker answers.
+    fn reclaim(&mut self, cluster: usize, stats: &mut PoolStats) -> Vec<ClusterPlan> {
+        match self {
+            Self::Inline(slots) => slots[cluster].reclaim(),
+            Self::Pooled { pool, .. } => {
+                pool.send(cluster, WorkerCmd::Reclaim);
+                let ShardOutcome::Reclaimed { plans } = pool.recv(cluster) else {
+                    unreachable!(
+                        "every pre-kill shard outcome is consumed before the merge thread \
+                         detects the kill, so the reclaim answer is next on the channel"
+                    );
+                };
+                stats.shards_reclaimed += plans.len() as u64;
+                plans
+            }
         }
     }
 }
@@ -418,7 +488,7 @@ pub struct ShardRetire {
     pub result: Option<JobResult>,
 }
 
-/// One job in flight through the continuous farm.
+/// One job in flight through the farm.
 #[derive(Debug)]
 struct ActiveJob {
     meta: JobMeta,
@@ -429,19 +499,61 @@ struct ActiveJob {
     finish_clock: u64,
 }
 
-/// One queued shard of the continuous farm. In serial mode the plan
-/// waits here; in pooled mode it was forwarded to the cluster's worker
-/// at admission (`plan: None`) and only returns — via abort or reclaim
-/// — when a kill forces re-placement.
+impl ActiveJob {
+    fn new(meta: JobMeta, shards: usize, clusters: usize, freq_hz: f64) -> Self {
+        Self {
+            output: vec![0f32; meta.output_len],
+            report: ScaleOutReport::new(clusters, freq_hz),
+            remaining: shards,
+            start_clock: u64::MAX,
+            finish_clock: 0,
+            meta,
+        }
+    }
+
+    /// Folds one retired shard of `cluster` into the job: its readback
+    /// segments into the output, its counters and cycles into the
+    /// report.
+    fn fold(
+        &mut self,
+        cluster: usize,
+        perf: &PerfSnapshot,
+        cycles: u64,
+        reads: Vec<(usize, Vec<f32>)>,
+    ) {
+        for (dst, data) in reads {
+            self.output[dst..dst + data.len()].copy_from_slice(&data);
+        }
+        self.report.per_cluster[cluster].accumulate(perf);
+        self.report.makespan_cycles = self.report.makespan_cycles.max(cycles);
+        self.remaining -= 1;
+    }
+
+    fn into_result(self) -> JobResult {
+        JobResult {
+            job_id: self.meta.id,
+            label: self.meta.label,
+            output: self.output,
+            report: self.report,
+            start_cycle: self.start_clock,
+            finish_cycle: self.finish_clock,
+            estimate: None,
+            backend: crate::BackendKind::Simulate,
+        }
+    }
+}
+
+/// The merge thread's record of one queued shard: metadata only. The
+/// plan waits with the engine and comes back only through an abort or
+/// a reclaim, when a kill forces re-placement.
 #[derive(Debug)]
 struct QueuedShard {
-    slot: usize,
-    plan: Option<ClusterPlan>,
+    /// Index of the shard's job in `ClusterFarm::active`.
+    job: usize,
     /// Corrected estimated cycles (the placement load unit).
     hint: u64,
     /// Raw roofline estimate (the measured-duration feedback input).
     est: u64,
-    wiring: Option<ShardWiring>,
 }
 
 /// The farm: N independent clusters plus their shard FIFOs. The
@@ -452,23 +564,18 @@ struct QueuedShard {
 /// pre-placed batch barriered, as the differential oracle.
 #[derive(Debug)]
 pub struct ClusterFarm {
-    /// The cluster states. Emptied when the worker pool activates —
-    /// from then on each cluster lives on its worker thread and
-    /// [`reference`](Self::reference) serves configuration queries.
-    clusters: Vec<Cluster>,
+    /// The cluster slots and what runs them: the inline engine until
+    /// the first continuous admission of a multi-threaded farm moves
+    /// the slots onto the worker pool.
+    engine: Engine,
     /// The per-cluster base configuration (before any memory-model
-    /// port injection) — rebuilds the reference cluster at pool
+    /// port injection) — builds the reference cluster at pool
     /// activation.
     config: ClusterConfig,
     freq_hz: f64,
     /// Requested worker threads for continuous stepping (resolved; 1 =
-    /// serial merge loop). The pool spins up lazily on first admit.
+    /// inline engine). The pool spins up lazily on first admit.
     worker_threads: usize,
-    /// The live worker pool once continuous admission activates it.
-    pool: Option<WorkerPool>,
-    /// Fresh cluster of the same configuration, for tiler/introspection
-    /// queries while the real clusters live on the workers.
-    reference: Option<Cluster>,
     /// Pool-utilization counters of this run.
     pool_stats: PoolStats,
     /// Event-selection heap over `(clock, cluster)` keys: the earliest
@@ -477,10 +584,10 @@ pub struct ClusterFarm {
     ready: BinaryHeap<Reverse<(u64, usize)>>,
     /// Per-cluster flag: a key for this cluster is in `ready`.
     enqueued: Vec<bool>,
-    /// Per-cluster FIFOs of shards admitted but not yet run
-    /// (continuous drive only; `run_batch` keeps its own local queues).
+    /// Per-cluster FIFOs of shards admitted but not yet retired
+    /// (continuous drive only), in the engine's order.
     pending: Vec<VecDeque<QueuedShard>>,
-    /// In-flight jobs, slab-indexed by `QueuedShard::slot`.
+    /// In-flight jobs, slab-indexed by `QueuedShard::job`.
     active: Vec<Option<ActiveJob>>,
     free_slots: Vec<usize>,
     /// Per-cluster virtual clock: cycles of shard work retired so far.
@@ -557,29 +664,7 @@ fn run_shard(
     (cluster.perf().since(&before), cluster.cycle() - cycle0)
 }
 
-/// Gathers a shard's result slices into the job's output vector.
-fn read_shard(cluster: &mut Cluster, plan: &ClusterPlan, out: &mut [f32]) {
-    for rb in &plan.readbacks {
-        let dst = &mut out[rb.dst..rb.dst + rb.len as usize];
-        match rb.source {
-            ReadbackSource::Ext(addr) => cluster.ext_mem().read_f32_into(addr, dst),
-            ReadbackSource::Tcdm(addr) => cluster.read_tcdm_into(addr, dst),
-        }
-    }
-}
-
 impl ClusterFarm {
-    /// Builds `clusters` independent clusters with ideal private
-    /// external memories.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `clusters` is zero.
-    #[must_use]
-    pub fn new(clusters: usize, config: ClusterConfig) -> Self {
-        Self::with_memory(clusters, config, MemoryModel::Ideal)
-    }
-
     /// Builds the farm under an explicit external-memory model. With
     /// [`MemoryModel::SharedHmc`] one [`HmcSubsystem`] hands every
     /// cluster its backing store and a port of the shared vault/LoB
@@ -596,8 +681,10 @@ impl ClusterFarm {
     pub fn with_memory(clusters: usize, config: ClusterConfig, memory: MemoryModel) -> Self {
         assert!(clusters > 0, "need at least one cluster");
         let mut mesh = None;
-        let built: Vec<Cluster> = match memory {
-            MemoryModel::Ideal => (0..clusters).map(|_| Cluster::new(config)).collect(),
+        let slots: Vec<ClusterSlot> = match memory {
+            MemoryModel::Ideal => (0..clusters)
+                .map(|i| ClusterSlot::new(i, Cluster::new(config)))
+                .collect(),
             MemoryModel::SharedHmc(hmc) => {
                 let mut sub = HmcSubsystem::new(
                     hmc,
@@ -614,7 +701,7 @@ impl ClusterFarm {
                             ..config
                         });
                         c.install_ext(mem);
-                        c
+                        ClusterSlot::new(i, c)
                     })
                     .collect()
             }
@@ -628,29 +715,28 @@ impl ClusterFarm {
                 // Ports are wired per shard (they depend on the job's
                 // home cube), so clusters start with no schedule; every
                 // `run_shard` installs the right one before staging.
-                let built = m
+                let slots = m
                     .take_memories()
                     .into_iter()
-                    .map(|mem| {
+                    .enumerate()
+                    .map(|(i, mem)| {
                         let mut c = Cluster::new(ClusterConfig {
                             ext_port: None,
                             ..config
                         });
                         c.install_ext(mem);
-                        c
+                        ClusterSlot::new(i, c)
                     })
                     .collect();
                 mesh = Some(m);
-                built
+                slots
             }
         };
         Self {
-            clusters: built,
+            engine: Engine::Inline(slots),
             config,
             freq_hz: config.ntx_freq_hz,
             worker_threads: 1,
-            pool: None,
-            reference: None,
             pool_stats: PoolStats::default(),
             ready: BinaryHeap::new(),
             enqueued: vec![false; clusters],
@@ -678,7 +764,7 @@ impl ClusterFarm {
     /// into its workers at activation.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert!(
-            self.pool.is_none(),
+            matches!(self.engine, Engine::Inline(_)),
             "fault plans must be armed before the worker pool activates"
         );
         self.faults = plan;
@@ -687,52 +773,44 @@ impl ClusterFarm {
     /// Sets the worker-thread count for continuous stepping (resolved
     /// via [`resolve_worker_threads`]; values above 1 make the first
     /// continuous admission activate the pool). The barriered
-    /// [`run_batch`](ClusterFarm::run_batch) always runs serially.
+    /// [`run_batch`](ClusterFarm::run_batch) always runs inline.
     ///
     /// # Panics
     ///
     /// Panics once the worker pool is active.
     pub fn set_worker_threads(&mut self, threads: usize) {
         assert!(
-            self.pool.is_none(),
+            matches!(self.engine, Engine::Inline(_)),
             "the worker-thread count must be set before the pool activates"
         );
         self.worker_threads = threads.max(1);
     }
 
-    /// The resolved worker-thread count of the continuous farm (1 =
-    /// serial merge loop).
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        self.worker_threads
-    }
-
-    /// Pool-utilization counters of this run (all zero in serial mode;
-    /// `worker_threads` always reports the resolved count).
+    /// Pool-utilization counters of this run (merge and reclaim counts
+    /// are zero on the inline engine).
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
-            worker_threads: self.worker_threads,
+            worker_threads: self.worker_threads.min(self.num_clusters()),
             ..self.pool_stats
         }
     }
 
     /// Spins up the worker pool on the first continuous admission of a
-    /// multi-threaded farm: the cluster states move onto the worker
+    /// multi-threaded farm: the cluster slots move onto the worker
     /// threads and a fresh reference cluster takes over configuration
-    /// queries. Serial farms (`worker_threads == 1`) never activate.
+    /// queries. Farms with `worker_threads == 1` stay inline.
     fn activate_pool(&mut self) {
-        if self.pool.is_some() || self.worker_threads <= 1 {
+        if self.worker_threads <= 1 {
             return;
         }
-        self.reference = Some(Cluster::new(self.config));
-        let clusters = std::mem::take(&mut self.clusters);
-        self.pool = Some(WorkerPool::spawn(
-            clusters,
-            &self.clock,
-            self.faults,
-            self.worker_threads,
-        ));
+        if let Engine::Inline(slots) = &mut self.engine {
+            let slots = std::mem::take(slots);
+            self.engine = Engine::Pooled {
+                pool: WorkerPool::spawn(slots, self.faults, self.worker_threads),
+                reference: Box::new(Cluster::new(self.config)),
+            };
+        }
     }
 
     /// Queues cluster `index` as an event-selection candidate at its
@@ -761,12 +839,6 @@ impl ClusterFarm {
             return Some(c);
         }
         None
-    }
-
-    /// The armed chaos schedule (the empty plan by default).
-    #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults
     }
 
     /// Recovery counters of this run (kills fired, shards re-placed).
@@ -811,72 +883,57 @@ impl ClusterFarm {
             .is_some_and(|at| self.clock[index] >= at)
     }
 
+    /// Queues one shard of an active job on `cluster`: the plan goes
+    /// to the engine, the metadata to the merge queue.
+    fn enqueue(&mut self, cluster: usize, task: QueuedShard, plan: ClusterPlan) {
+        let meta = &self.active[task.job]
+            .as_ref()
+            .expect("queued shard has an active job")
+            .meta;
+        let wiring = self.wiring_for(cluster, meta);
+        self.engine.queue(cluster, plan, wiring);
+        self.queued_hint[cluster] += task.hint;
+        self.pending[cluster].push_back(task);
+        self.push_candidate(cluster);
+    }
+
     /// Marks `index` dead and re-admits everything still queued on it
     /// onto the least-loaded surviving clusters (FIFO order, ties to
-    /// the lowest index — deterministic). `extra` carries the aborted
+    /// the lowest index — deterministic). `aborted` carries the
     /// in-flight shard of a mid-shard kill, evacuated first. When no
     /// cluster survives, the orphans' jobs fail instead: they leave the
     /// farm and their ids wait in [`take_lost`](Self::take_lost).
-    fn fail_cluster(&mut self, index: usize, extra: Option<QueuedShard>) {
+    fn fail_cluster(&mut self, index: usize, aborted: Option<(QueuedShard, ClusterPlan)>) {
         self.dead[index] = true;
         if let Some(at) = self.faults.kill_cycle(index as u32) {
             // Freeze the dead cluster's virtual clock at the kill
-            // cycle: work past it never observably happened.
-            self.clock[index] = self.clock[index].min(at);
+            // cycle, mid-shard too: work past it never observably
+            // happened.
+            self.clock[index] = at;
         }
         self.fault_stats.faults_injected += 1;
-        let mut orphans: Vec<QueuedShard> = extra.into_iter().collect();
-        if self.pool.is_some() {
-            // The aborted in-flight shard was a dead speculation too.
-            self.pool_stats.shards_reclaimed += orphans.len() as u64;
-        }
-        let queued: Vec<QueuedShard> = std::mem::take(&mut self.pending[index]).into();
-        match &self.pool {
-            // The queued plans were forwarded to the dead cluster's
-            // worker at admission; reclaim them (FIFO, so they line up
-            // with the queued metadata) before re-placement.
-            Some(pool) if !queued.is_empty() => {
-                let plans = pool.reclaim(index);
-                assert_eq!(
-                    plans.len(),
-                    queued.len(),
-                    "reclaimed plans must match the queued shards one-to-one"
-                );
-                self.pool_stats.shards_reclaimed += plans.len() as u64;
-                orphans.extend(queued.into_iter().zip(plans).map(|(mut task, plan)| {
-                    task.plan = Some(plan);
-                    task
-                }));
-            }
-            _ => orphans.extend(queued),
-        }
+        let queued = std::mem::take(&mut self.pending[index]);
+        let plans = self.engine.reclaim(index, &mut self.pool_stats);
+        assert_eq!(
+            plans.len(),
+            queued.len(),
+            "reclaimed plans must match the queued shards one-to-one"
+        );
         self.queued_hint[index] = 0;
-        for mut task in orphans {
+        for (task, plan) in aborted.into_iter().chain(queued.into_iter().zip(plans)) {
             let Some(target) = (0..self.num_clusters())
                 .filter(|&c| self.is_alive(c))
                 .min_by_key(|&c| (self.load(c), c))
             else {
                 // The job's first orphan fails it; its other orphans
                 // find the slot already empty.
-                if let Some(job) = self.active[task.slot].take() {
-                    self.free_slots.push(task.slot);
+                if let Some(job) = self.active[task.job].take() {
+                    self.free_slots.push(task.job);
                     self.lost.push(job.meta.id);
                 }
                 continue;
             };
-            let meta = self.active[task.slot]
-                .as_ref()
-                .expect("orphaned shard has an active job")
-                .meta
-                .clone();
-            task.wiring = self.wiring_for(target, &meta);
-            self.queued_hint[target] += task.hint;
-            if let Some(pool) = &self.pool {
-                let plan = task.plan.take().expect("reclaimed orphan carries its plan");
-                pool.send_run(target, plan, task.wiring);
-            }
-            self.pending[target].push_back(task);
-            self.push_candidate(target);
+            self.enqueue(target, task, plan);
             self.fault_stats.shards_retried += 1;
         }
     }
@@ -948,33 +1005,15 @@ impl ClusterFarm {
         self.clock.len()
     }
 
-    /// Read-only access to cluster `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range, or once the worker pool is
-    /// active (cluster states then live on the worker threads — use
-    /// [`reference_cluster`](Self::reference_cluster) for
-    /// configuration introspection).
-    #[must_use]
-    pub fn cluster(&self, index: usize) -> &Cluster {
-        assert!(
-            self.pool.is_none(),
-            "cluster states live on the worker pool; use reference_cluster() \
-             for configuration introspection"
-        );
-        &self.clusters[index]
-    }
-
     /// A cluster of this farm's configuration for tiler and capacity
-    /// queries — cluster 0 in serial mode, a fresh identically-
-    /// configured cluster once the pool owns the real states. Never
-    /// carries job data.
+    /// queries: cluster 0 itself on the inline engine, a fresh
+    /// identically-configured cluster once the pool owns the real
+    /// states. Only its configuration is meaningful.
     #[must_use]
     pub fn reference_cluster(&self) -> &Cluster {
-        match &self.reference {
-            Some(r) => r,
-            None => &self.clusters[0],
+        match &self.engine {
+            Engine::Inline(slots) => &slots[0].cluster,
+            Engine::Pooled { reference, .. } => reference,
         }
     }
 
@@ -982,71 +1021,52 @@ impl ClusterFarm {
     /// its predecessor's slowest shard has retired, so the batch
     /// makespan is the sum of the per-job makespans — and assembles
     /// per-job results in `placed` order. The differential oracle of
-    /// the continuous drive: clusters run their FIFOs serially and no
-    /// fault is injected.
+    /// the continuous drive: each shard runs through the same slot
+    /// routine, on the inline engine, with no fault injected. Build a
+    /// fresh farm for it.
     ///
     /// # Panics
     ///
     /// Panics once the worker pool is active.
     #[must_use]
     pub fn run_batch(&mut self, placed: Vec<PlacedJob>) -> BatchResult {
-        assert!(
-            self.pool.is_none(),
-            "batch execution is not supported once the worker pool is active"
-        );
         let n = self.num_clusters();
-        let mut metas = Vec::with_capacity(placed.len());
-        let mut outputs: Vec<Vec<f32>> = Vec::with_capacity(placed.len());
-        let mut queues: Vec<Vec<ShardTask>> = (0..n).map(|_| Vec::new()).collect();
-        for (job_idx, p) in placed.into_iter().enumerate() {
-            outputs.push(vec![0f32; p.meta.output_len]);
-            for (c, plan) in p.shards {
-                let wiring = self.wiring_for(c, &p.meta);
-                queues[c].push(ShardTask {
-                    job_idx,
-                    plan,
-                    wiring,
-                });
-            }
-            metas.push(p.meta);
-        }
-
-        let records = self.drive(&mut queues, &mut outputs);
-
-        // Per-job windows: per-cluster deltas, shard-local makespan.
-        let mut reports: Vec<ScaleOutReport> = (0..metas.len())
-            .map(|_| ScaleOutReport::new(n, self.freq_hz))
-            .collect();
+        let Engine::Inline(slots) = &mut self.engine else {
+            panic!("batch execution is not supported once the worker pool is active");
+        };
+        let mut slots = std::mem::take(slots);
         let mut batch = ScaleOutReport::new(n, self.freq_hz);
-        for (c, recs) in records.iter().enumerate() {
-            for (j, perf, cycles) in recs {
-                self.totals.accumulate(perf);
-                reports[*j].per_cluster[c] = *perf;
-                reports[*j].makespan_cycles = reports[*j].makespan_cycles.max(*cycles);
-                batch.per_cluster[c].accumulate(perf);
+        let mut results = Vec::with_capacity(placed.len());
+        for p in placed {
+            // Per-job window: per-cluster deltas, shard-local makespan.
+            let mut job = ActiveJob::new(p.meta, p.shards.len(), n, self.freq_hz);
+            for (c, plan) in p.shards {
+                let wiring = self.wiring_for(c, &job.meta);
+                slots[c].stash.push_back((plan, wiring));
+                let Some(ShardOutcome::Retired {
+                    perf,
+                    cycles,
+                    reads,
+                }) = slots[c].run(&FaultPlan::NONE)
+                else {
+                    unreachable!("a fault-free shard always retires");
+                };
+                self.totals.accumulate(&perf);
+                batch.per_cluster[c].accumulate(&perf);
+                job.fold(c, &perf, cycles, reads);
             }
+            // Virtual farm time: jobs run back to back.
+            job.start_clock = batch.makespan_cycles;
+            batch.makespan_cycles += job.report.makespan_cycles;
+            job.finish_clock = batch.makespan_cycles;
+            results.push(job.into_result());
         }
-
-        // Virtual farm time: jobs run back to back.
-        let results = metas
-            .into_iter()
-            .zip(outputs)
-            .zip(reports)
-            .map(|((meta, output), report)| {
-                let start_cycle = batch.makespan_cycles;
-                batch.makespan_cycles += report.makespan_cycles;
-                JobResult {
-                    job_id: meta.id,
-                    label: meta.label,
-                    output,
-                    report,
-                    start_cycle,
-                    finish_cycle: batch.makespan_cycles,
-                    estimate: None,
-                    backend: crate::BackendKind::Simulate,
-                }
-            })
-            .collect();
+        // The barriered windows are not continuous time: the slot
+        // clocks keep mirroring the continuous clocks.
+        for (slot, &clock) in slots.iter_mut().zip(&self.clock) {
+            slot.clock = clock;
+        }
+        self.engine = Engine::Inline(slots);
         BatchResult {
             results,
             report: batch,
@@ -1069,14 +1089,7 @@ impl ClusterFarm {
         assert!(!placed.shards.is_empty(), "job admitted with no shards");
         self.activate_pool();
         let n = self.num_clusters();
-        let job = ActiveJob {
-            output: vec![0f32; placed.meta.output_len],
-            report: ScaleOutReport::new(n, self.freq_hz),
-            remaining: placed.shards.len(),
-            start_clock: u64::MAX,
-            finish_clock: 0,
-            meta: placed.meta,
-        };
+        let job = ActiveJob::new(placed.meta, placed.shards.len(), n, self.freq_hz);
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.active[s] = Some(job);
@@ -1093,27 +1106,12 @@ impl ClusterFarm {
                 "placement targeted dead cluster {c} — the admission path must \
                  filter by `is_alive`"
             );
-            self.queued_hint[c] += shard_cycles_hint;
-            let meta = &self.active[slot].as_ref().expect("job just stored").meta;
-            let wiring = self.wiring_for(c, meta);
-            // Pooled farms forward the plan to the cluster's worker
-            // right away — it starts speculating the moment its
-            // thread is free; the merge queue keeps the metadata.
-            let plan = match &self.pool {
-                Some(pool) => {
-                    pool.send_run(c, plan, wiring);
-                    None
-                }
-                None => Some(plan),
-            };
-            self.pending[c].push_back(QueuedShard {
-                slot,
-                plan,
+            let task = QueuedShard {
+                job: slot,
                 hint: shard_cycles_hint,
                 est: shard_cycles_est,
-                wiring,
-            });
-            self.push_candidate(c);
+            };
+            self.enqueue(c, task, plan);
         }
     }
 
@@ -1144,117 +1142,57 @@ impl ClusterFarm {
                 }
             }
             let c = self.next_event_cluster()?;
-            let mut task = self.pending[c].pop_front().expect("non-empty FIFO");
+            let task = self.pending[c].pop_front().expect("non-empty FIFO");
             self.queued_hint[c] -= task.hint;
-            let kill_at = self.faults.kill_cycle(c as u32);
             let start = self.clock[c];
-            // Run the shard — inline on the serial engine, or collect
-            // the worker's speculative result. Per-cluster order is
-            // admission order on both engines and every cross-cluster
-            // decision happens here on the merge thread, so outcomes
-            // are bit-identical.
-            enum Ran {
-                Done(PerfSnapshot, u64, Option<Vec<(usize, Vec<f32>)>>),
-                Killed(ClusterPlan),
-            }
-            let ran = match &self.pool {
-                Some(pool) => match pool.recv(c) {
+            let (perf, cycles, reads) =
+                match self.engine.next(c, &self.faults, &mut self.pool_stats) {
                     ShardOutcome::Retired {
                         perf,
                         cycles,
                         reads,
-                    } => {
-                        debug_assert!(
-                            kill_at.is_none_or(|at| start + cycles <= at),
-                            "worker retired a shard across its kill cycle"
-                        );
-                        self.pool_stats.shards_merged += 1;
-                        Ran::Done(perf, cycles, Some(reads))
+                    } => (perf, cycles, reads),
+                    ShardOutcome::Aborted { plan } => {
+                        // The cluster died mid-shard: the run is discarded
+                        // — no readback, no counter accumulation, clock
+                        // frozen at the kill cycle — and the shard (plus
+                        // the rest of the queue) is re-admitted on the
+                        // survivors.
+                        self.fail_cluster(c, Some((task, plan)));
+                        continue;
                     }
-                    ShardOutcome::Aborted { plan } => Ran::Killed(plan),
                     ShardOutcome::Reclaimed { .. } => {
-                        unreachable!("reclaim answers are consumed inside fail_cluster")
+                        unreachable!("reclaim answers are consumed inside Engine::reclaim")
                     }
-                },
-                None => {
-                    // With a kill armed the shard might straddle the
-                    // kill cycle; keep a copy so the aborted work can
-                    // be re-placed bit-identically (`run_shard`
-                    // consumes the tiles).
-                    let backup = kill_at.and_then(|_| task.plan.clone());
-                    let plan = task.plan.as_mut().expect("serial farm queues plans");
-                    let (perf, cycles) = run_shard(&mut self.clusters[c], plan, task.wiring);
-                    if kill_at.is_some_and(|at| start + cycles > at) {
-                        Ran::Killed(backup.expect("kill armed implies a plan backup"))
-                    } else {
-                        Ran::Done(perf, cycles, None)
-                    }
-                }
-            };
-            let (perf, cycles, reads) = match ran {
-                Ran::Killed(plan) => {
-                    // The cluster died mid-shard: discard the run — no
-                    // readback, no counter accumulation, clock frozen
-                    // at the kill cycle — and re-admit the shard (plus
-                    // the rest of the queue) on the survivors. The
-                    // dead cluster's memory state no longer matters.
-                    self.clock[c] = kill_at.expect("mid-shard abort implies an armed kill");
-                    task.plan = Some(plan);
-                    self.fail_cluster(c, Some(task));
-                    continue;
-                }
-                Ran::Done(perf, cycles, reads) => (perf, cycles, reads),
-            };
+                };
+            debug_assert!(
+                self.faults
+                    .kill_cycle(c as u32)
+                    .is_none_or(|at| start + cycles <= at),
+                "a shard retired across its cluster's kill cycle"
+            );
             self.totals.accumulate(&perf);
+            // The slot attributed any transient stall to its cluster;
+            // the merge thread advances the clock past it and counts
+            // it.
             self.clock[c] = start + cycles;
-            // Transient stalls: windows whose boundary the shard
-            // crossed freeze the cluster afterwards. Dead time is
-            // attributed to the fault counter, not to the shard
-            // (per-job outputs and counters stay bit-identical to the
-            // fault-free run). Pool workers apply the cluster-counter
-            // attribution themselves to keep their states in lockstep.
             let stall = self.faults.stall_between(c as u32, start, self.clock[c]);
             if stall > 0 {
-                if self.pool.is_none() {
-                    self.clusters[c].attribute_fault_stall(stall);
-                }
                 self.clock[c] += stall;
                 self.totals.fault_stall_cycles += stall;
                 self.fault_stats.faults_injected += 1;
             }
-            let job = self.active[task.slot]
+            let job = self.active[task.job]
                 .as_mut()
                 .expect("queued shard has an active job");
-            match reads {
-                Some(reads) => {
-                    for (dst, data) in reads {
-                        job.output[dst..dst + data.len()].copy_from_slice(&data);
-                    }
-                }
-                None => {
-                    let plan = task.plan.as_ref().expect("serial farm queues plans");
-                    read_shard(&mut self.clusters[c], plan, &mut job.output);
-                }
-            }
-            job.report.per_cluster[c].accumulate(&perf);
-            job.report.makespan_cycles = job.report.makespan_cycles.max(cycles);
+            job.fold(c, &perf, cycles, reads);
             job.start_clock = job.start_clock.min(start);
             job.finish_clock = job.finish_clock.max(self.clock[c]);
-            job.remaining -= 1;
             let (job_id, class) = (job.meta.id, job.meta.class);
             let result = if job.remaining == 0 {
-                let done = self.active[task.slot].take().expect("job still active");
-                self.free_slots.push(task.slot);
-                Some(JobResult {
-                    job_id: done.meta.id,
-                    label: done.meta.label,
-                    output: done.output,
-                    report: done.report,
-                    start_cycle: done.start_clock,
-                    finish_cycle: done.finish_clock,
-                    estimate: None,
-                    backend: crate::BackendKind::Simulate,
-                })
+                let done = self.active[task.job].take().expect("job still active");
+                self.free_slots.push(task.job);
+                Some(done.into_result())
             } else {
                 None
             };
@@ -1300,26 +1238,134 @@ impl ClusterFarm {
     pub fn makespan(&self) -> u64 {
         self.clock.iter().copied().max().unwrap_or(0)
     }
+}
 
-    /// Serial drive of a batch (the oracle path): clusters are fully
-    /// independent simulations, so each runs its whole shard FIFO in
-    /// turn; readbacks scatter straight into the job outputs with no
-    /// intermediate allocation.
-    fn drive(
-        &mut self,
-        queues: &mut [Vec<ShardTask>],
-        outputs: &mut [Vec<f32>],
-    ) -> Vec<Vec<ShardRecord>> {
-        let mut records: Vec<Vec<ShardRecord>> = Vec::with_capacity(queues.len());
-        for (cluster, queue) in self.clusters.iter_mut().zip(queues.iter_mut()) {
-            let mut recs = Vec::with_capacity(queue.len());
-            for shard in queue.iter_mut() {
-                let (perf, cycles) = run_shard(cluster, &mut shard.plan, shard.wiring);
-                read_shard(cluster, &shard.plan, &mut outputs[shard.job_idx]);
-                recs.push((shard.job_idx, perf, cycles));
-            }
-            records.push(recs);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Job, JobKind, Tiler};
+
+    /// `(threads, shards_merged, shards_reclaimed)` of the kill tests:
+    /// no pool counts inline; on a pool both retires merge and one
+    /// speculated shard is reclaimed.
+    const ENGINES: [(usize, u64, u64); 2] = [(1, 0, 0), (2, 2, 1)];
+
+    /// A 2-cluster farm on `threads` engine threads under `faults`.
+    fn farm(threads: usize, faults: FaultPlan) -> ClusterFarm {
+        let mut farm = ClusterFarm::with_memory(2, ClusterConfig::default(), MemoryModel::Ideal);
+        farm.set_fault_plan(faults);
+        farm.set_worker_threads(threads);
+        farm
+    }
+
+    /// Pre-places job `id`, one AXPY shard of fixed size, on `cluster`.
+    fn admit_on(farm: &mut ClusterFarm, id: u64, cluster: usize) {
+        let x = (0..2048).map(|i| (i % 61) as f32).collect();
+        let y = vec![0.25; 2048];
+        let job = Job::new(id, "axpy", JobKind::Axpy { a: 1.5, x, y });
+        let plans = Tiler::new(1).plan(&job, farm.reference_cluster());
+        let shards = vec![(cluster, plans.expect("one AXPY shard").remove(0))];
+        let meta = JobMeta::of(&job);
+        farm.admit(PlacedJob { meta, shards }, 0, 0);
+    }
+
+    /// `(faults_injected, shards_retried, shards_merged, shards_reclaimed)`.
+    fn counters(farm: &ClusterFarm) -> (u64, u64, u64, u64) {
+        let (f, p) = (farm.fault_stats(), farm.pool_stats());
+        (
+            f.faults_injected,
+            f.shards_retried,
+            p.shards_merged,
+            p.shards_reclaimed,
+        )
+    }
+
+    /// `(job, cluster, clock)` of each retire.
+    fn landed(retires: &[ShardRetire]) -> Vec<(u64, usize, u64)> {
+        retires
+            .iter()
+            .map(|r| (r.job_id, r.cluster, r.clock))
+            .collect()
+    }
+
+    /// Stalls that fire at every window boundary a shard crosses.
+    fn always_stall() -> FaultPlan {
+        FaultPlan::NONE.with_seed(3).with_stalls(256, 0x1_0000, 40)
+    }
+
+    #[test]
+    fn mid_shard_kill_replaces_the_shard_and_freezes_the_dead_clock() {
+        for (threads, merged, reclaimed) in ENGINES {
+            let mut clean = farm(threads, FaultPlan::NONE);
+            admit_on(&mut clean, 0, 0);
+            admit_on(&mut clean, 1, 1);
+            let clean = clean.drain();
+            let d = clean[0].cycles;
+            assert_eq!(clean[1].cycles, d, "equal jobs take equal time");
+            let k = d / 2;
+            let mut killed = farm(threads, FaultPlan::NONE.with_kill(0, k));
+            admit_on(&mut killed, 0, 0);
+            admit_on(&mut killed, 1, 1);
+            let retires = killed.drain();
+            assert_eq!(
+                landed(&retires),
+                [(1, 1, d), (0, 1, 2 * d)],
+                "{threads} threads"
+            );
+            assert_eq!(counters(&killed), (1, 1, merged, reclaimed));
+            assert_eq!(killed.pool_stats().worker_threads, threads);
+            assert_eq!(killed.load(0), k, "the dead clock stays at the kill");
+            let output = |r: &ShardRetire| r.result.as_ref().expect("one shard").output.clone();
+            assert_eq!(output(&retires[1]), output(&clean[0]));
         }
-        records
+    }
+
+    #[test]
+    fn a_stall_past_the_kill_cycle_fails_the_cluster_before_its_next_shard() {
+        for (threads, merged, reclaimed) in ENGINES {
+            let mut clean = farm(threads, FaultPlan::NONE);
+            admit_on(&mut clean, 0, 0);
+            let d = clean.step().expect("queued").cycles;
+            // Shard 0 retires at `d`, before the kill; its stall carries
+            // the clock past it, so shard 1 must not run on cluster 0:
+            // the slot's clock has to include the stall.
+            let plan = always_stall().with_kill(0, d + 1);
+            let mut killed = farm(threads, plan);
+            admit_on(&mut killed, 0, 0);
+            admit_on(&mut killed, 1, 0);
+            let stalled = |c| d + plan.stall_between(c, 0, d);
+            let expected = [(0, 0, stalled(0)), (1, 1, stalled(1))];
+            assert_eq!(landed(&killed.drain()), expected, "{threads} threads");
+            // Both shards stalled and the kill fired.
+            assert_eq!(counters(&killed), (3, 1, merged, reclaimed));
+            assert_eq!(killed.load(0), d + 1);
+        }
+    }
+
+    #[test]
+    fn stalls_that_always_fire_extend_the_clock_not_the_shard() {
+        let stalls = always_stall();
+        for threads in [1, 2] {
+            let mut clean = farm(threads, FaultPlan::NONE);
+            let mut stalled = farm(threads, stalls);
+            let (mut clock, mut stalled_total) = (0, 0);
+            // Two shards back to back on cluster 0: the second starts
+            // after the first one's stall, so its windows differ.
+            for id in 0..2 {
+                admit_on(&mut clean, id, 0);
+                admit_on(&mut stalled, id, 0);
+                let c = clean.step().expect("queued");
+                let s = stalled.step().expect("queued");
+                let stall = stalls.stall_between(0, clock, clock + c.cycles);
+                assert!(stall > 0, "every crossed window stalls");
+                clock += c.cycles + stall;
+                stalled_total += stall;
+                assert_eq!((s.cycles, s.clock), (c.cycles, clock), "shard {id}");
+                assert_eq!(stalled.perf_totals().fault_stall_cycles, stalled_total);
+                let perf = |r: ShardRetire| r.result.expect("one shard").report.per_cluster;
+                assert_eq!(perf(s), perf(c));
+            }
+            assert_eq!(stalled.fault_stats().faults_injected, 2);
+        }
     }
 }

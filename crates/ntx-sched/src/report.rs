@@ -173,14 +173,16 @@ pub struct ServingReport {
     /// Dead cycles injected by transient cluster stalls, summed over
     /// all clusters.
     pub fault_stall_cycles: u64,
-    /// Worker threads the farm's cluster pool ran on (1 = serial
-    /// stepping, no pool).
+    /// Worker threads that stepped the farm: the requested width,
+    /// capped at the cluster count because each cluster runs on one
+    /// thread (1 = the merge thread ran every shard inline, unless
+    /// `pool_shards_merged` shows a 1-thread pool).
     pub worker_threads: usize,
-    /// Speculative shard results merged from pool workers (0 when
-    /// serial).
+    /// Speculative shard results merged from pool workers (0 when the
+    /// farm ran inline).
     pub pool_shards_merged: u64,
     /// Speculated shards invalidated and re-placed because their
-    /// cluster was killed (0 when serial).
+    /// cluster was killed (0 when the farm ran inline).
     pub pool_shards_reclaimed: u64,
 }
 

@@ -1138,6 +1138,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_threads_reports_the_width_the_farm_ran_on() {
+        // A cluster runs on one thread, so a 2-cluster farm asked for
+        // 8 threads runs a 2-thread pool and must say so.
+        let server = Server::start(ServerConfig::with_clusters(2).with_worker_threads(8));
+        let session = server.session();
+        let job = session
+            .job("pooled")
+            .kind(axpy(20_000, 3))
+            .submit()
+            .unwrap();
+        assert!(job.wait().unwrap().result.is_ok());
+        let report = server.shutdown();
+        assert_eq!(report.worker_threads, 2);
+        assert!(report.pool_shards_merged > 0, "the pool ran the shards");
+    }
+
+    #[test]
     fn kill_of_the_last_cluster_fails_its_jobs_and_keeps_serving() {
         // One cluster, killed mid-shard: no survivor can re-run the
         // orphaned shard, so its job fails with a capacity error

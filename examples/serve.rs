@@ -210,7 +210,7 @@ fn run_client(session: &Session, client: u32) -> Vec<ntx::sched::JobHandle> {
 
 fn main() {
     mixed_backend_showdown();
-    // First pass: the serial farm (worker_threads = 1); second pass:
+    // First pass: the inline farm (worker_threads = 1); second pass:
     // a 4-thread worker pool. Same jobs, same simulated cycles —
     // only the wall clock changes.
     let serial_jps = run_demo(1, true);
