@@ -40,7 +40,13 @@ fn main() {
         "{}",
         ntx_bench::format::scaling(&ntx_bench::scaling_report())
     );
-    print!("{}", ntx_bench::format::hmc(&ntx_bench::hmc_report()));
-    print!("{}", ntx_bench::format::mesh(&ntx_bench::mesh_report()));
-    print!("{}", ntx_bench::format::chaos(&ntx_bench::chaos_report()));
+    let hmc = ntx_bench::format::hmc_json(&ntx_bench::hmc_report());
+    let title = "Shared HMC — weak-scaling saturation under the vault/LoB budget";
+    println!("{}", ntx_bench::format::text(title, &hmc));
+    let mesh = ntx_bench::format::mesh_json(&ntx_bench::mesh_report());
+    let title = "HMC mesh — weak scaling over cubes, data-affine vs naive placement";
+    println!("{}", ntx_bench::format::text(title, &mesh));
+    let chaos = ntx_bench::format::chaos_json(&ntx_bench::chaos_report());
+    let title = "Chaos serving — fault injection, recovery, overload control";
+    print!("{}", ntx_bench::format::text(title, &chaos));
 }

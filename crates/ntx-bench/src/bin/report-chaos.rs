@@ -14,8 +14,10 @@
 
 fn main() {
     let r = ntx_bench::chaos_report();
-    print!("{}", ntx_bench::format::chaos(&r));
-    ntx_bench::write_bench("BENCH_chaos.json", ntx_bench::format::chaos_json(&r));
+    let doc = ntx_bench::format::chaos_json(&r);
+    let title = "Chaos serving — fault injection, recovery, overload control";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_chaos.json", doc);
     if r.jobs_lost != 0 {
         eprintln!(
             "ERROR: {} jobs lost to the injected cluster kill (recovery must lose zero)",

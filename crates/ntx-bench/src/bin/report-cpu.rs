@@ -5,8 +5,10 @@
 
 fn main() {
     let r = ntx_bench::cpu_report();
-    print!("{}", ntx_bench::format::cpu(&r));
-    ntx_bench::write_bench("BENCH_cpu.json", ntx_bench::format::cpu_json(&r));
+    let doc = ntx_bench::format::cpu_json(&r);
+    let title = "Native CPU backend vs cycle-accurate simulator";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_cpu.json", doc);
     // Exact mode is the whole point of the Kulisch path: its outputs
     // must match the simulator bit for bit on every workload,
     // unconditionally — no core-count carve-out, no tolerance.

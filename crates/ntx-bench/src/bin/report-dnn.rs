@@ -7,11 +7,15 @@
 
 fn main() {
     let r = ntx_bench::dnn_report();
-    print!("{}", ntx_bench::format::dnn(&r));
-    ntx_bench::write_bench("BENCH_dnn.json", ntx_bench::format::dnn_json(&r));
+    let doc = ntx_bench::format::dnn_json(&r);
+    let title = "Whole-network training step as a job DAG";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_dnn.json", doc);
     let mut failed = false;
-    // Every run must complete the whole DAG, admit every op, and never
-    // start an op before all its predecessors retired.
+    // Every run must complete the whole DAG, admit every op, and
+    // complete each op after all its predecessors. Completion order is
+    // what the gate checks: edges order admission, not simulated
+    // start cycles.
     for run in &r.runs {
         if run.jobs != r.ops as u64 || run.failed != 0 {
             eprintln!(

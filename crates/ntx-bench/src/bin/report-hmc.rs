@@ -7,8 +7,10 @@
 
 fn main() {
     let r = ntx_bench::hmc_report();
-    print!("{}", ntx_bench::format::hmc(&r));
-    ntx_bench::write_bench("BENCH_hmc.json", ntx_bench::format::hmc_json(&r));
+    let doc = ntx_bench::format::hmc_json(&r);
+    let title = "Shared HMC — weak-scaling saturation under the vault/LoB budget";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_hmc.json", doc);
 
     if !r.bit_identical {
         eprintln!("ERROR: shared-HMC outputs diverged from the ideal-memory run");

@@ -8,8 +8,10 @@
 
 fn main() {
     let r = ntx_bench::mesh_report();
-    print!("{}", ntx_bench::format::mesh(&r));
-    ntx_bench::write_bench("BENCH_mesh.json", ntx_bench::format::mesh_json(&r));
+    let doc = ntx_bench::format::mesh_json(&r);
+    let title = "HMC mesh — weak scaling over cubes, data-affine vs naive placement";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_mesh.json", doc);
 
     // Gate (c): topology and placement are timing policies — any
     // output bit depending on them is a simulation bug.

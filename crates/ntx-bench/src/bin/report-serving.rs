@@ -13,8 +13,11 @@
 
 fn main() {
     let r = ntx_bench::serving_report();
-    print!("{}", ntx_bench::format::serving(&r));
-    ntx_bench::write_bench("BENCH_serving.json", ntx_bench::format::serving_json(&r));
+    let doc = ntx_bench::format::serving_json(&r);
+    let title =
+        "Serving stack — one farm for every queue runner, analytical backend, async front-end";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_serving.json", doc);
     if !r.bit_identical || !r.snapshots_identical {
         eprintln!("ERROR: the farm diverged from its barriered replay or the full-width reference");
         std::process::exit(1);

@@ -5,29 +5,11 @@
 //! bit-identical, and records the perf trajectory as `BENCH_sim.json`.
 
 fn main() {
-    let reps = std::env::var("NTX_SIMPERF_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    // Profiling aid: NTX_SIMPERF_MODE=fast|per-cycle loops one mode only.
-    match std::env::var("NTX_SIMPERF_MODE").as_deref() {
-        Ok("fast") => {
-            for _ in 0..reps {
-                std::hint::black_box(ntx_bench::experiments::conv3x3_sim_run(true));
-            }
-            return;
-        }
-        Ok("per-cycle") => {
-            for _ in 0..reps {
-                std::hint::black_box(ntx_bench::experiments::conv3x3_sim_run(false));
-            }
-            return;
-        }
-        _ => {}
-    }
-    let r = ntx_bench::simperf_report(reps);
-    print!("{}", ntx_bench::format::simperf(&r));
-    ntx_bench::write_bench("BENCH_sim.json", ntx_bench::format::simperf_json(&r));
+    let r = ntx_bench::simperf_report();
+    let doc = ntx_bench::format::simperf_json(&r);
+    let title = "Simulator hot loop — burst fast path vs pure per-cycle path";
+    print!("{}", ntx_bench::format::text(title, &doc));
+    ntx_bench::write_bench("BENCH_sim.json", doc);
     for w in [&r.streaming, &r.single_ntx] {
         if !w.bit_identical || !w.counters_identical {
             eprintln!(

@@ -14,7 +14,7 @@ use ntx_sim::{Cluster, ClusterConfig, PerfSnapshot};
 
 /// Deterministic pseudo-random data generator (xorshift32), so every
 /// experiment is reproducible without a seed file.
-pub fn test_data(n: usize, mut seed: u32) -> Vec<f32> {
+fn test_data(n: usize, mut seed: u32) -> Vec<f32> {
     (0..n)
         .map(|_| {
             seed ^= seed << 13;
@@ -23,6 +23,12 @@ pub fn test_data(n: usize, mut seed: u32) -> Vec<f32> {
             (seed as f32 / u32::MAX as f32) * 2.0 - 1.0
         })
         .collect()
+}
+
+/// Bitwise equality of two `f32` slices, lengths included: `+0.0` and
+/// `-0.0` differ, and a NaN equals a NaN with the same bits.
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 // ---------------------------------------------------------------- Table I
@@ -413,12 +419,7 @@ pub fn scaling_report() -> ScalingReport {
         let result = ntx_sched::run_sharded(&job, clusters).expect("valid scaling workload");
         match &reference_output {
             None => reference_output = Some(result.output.clone()),
-            Some(expect) => {
-                bit_identical &= expect
-                    .iter()
-                    .zip(&result.output)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            }
+            Some(expect) => bit_identical &= bits_equal(expect, &result.output),
         }
         let report = result.report;
         let base = baseline.get_or_insert_with(|| report.clone());
@@ -987,6 +988,39 @@ fn placed_single_shard_run(
     (farm.makespan(), farm.perf_totals(), outputs)
 }
 
+/// The two streaming workloads of the shared-HMC and mesh sweeps, as
+/// `(label, job)`:
+///
+/// * conv3x3 — the Table I shape at two filters, image in external
+///   memory. Compute overlaps the stream, so the curve shows how much
+///   slack the double buffering hides.
+/// * low-intensity GEMM — a thin K makes the A/B/C streams dominate the
+///   MACs: the memory-bound end of the sweep.
+fn streaming_pair() -> [(&'static str, ntx_sched::JobKind); 2] {
+    use ntx_sched::JobKind;
+    let kernel = Conv2dKernel {
+        height: 66,
+        width: 63,
+        k: 3,
+        filters: 2,
+    };
+    let conv = JobKind::Conv2d {
+        kernel,
+        image: test_data((kernel.height * kernel.width) as usize, 0x0d15_ea5e),
+        weights: test_data((9 * kernel.filters) as usize, 0x600d_cafe),
+    };
+    let dims = GemmKernel { m: 48, k: 8, n: 24 };
+    let gemm = JobKind::Gemm {
+        dims,
+        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
+        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
+    };
+    [
+        ("conv3x3 66x63x2 streaming", conv),
+        ("gemm 48x8x24 streaming", gemm),
+    ]
+}
+
 /// Sweeps one workload over `counts` clusters in both memory models.
 fn hmc_curve(
     label: &str,
@@ -1005,9 +1039,7 @@ fn hmc_curve(
             let (contended, perf, out_c) =
                 placed_single_shard_run(kind, n, MemoryModel::SharedHmc(hmc), own);
             let bit_identical = out_i.len() == out_c.len()
-                && out_i.iter().zip(&out_c).all(|(a, b)| {
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                });
+                && out_i.iter().zip(&out_c).all(|(a, b)| bits_equal(a, b));
             let seconds = contended as f64 / freq_hz;
             HmcScalingPoint {
                 clusters: n,
@@ -1050,36 +1082,11 @@ pub fn hmc_report() -> HmcReport {
 /// run a reduced sweep; the `report-hmc` binary runs the full one).
 #[must_use]
 pub fn hmc_report_sweep(counts: &[usize]) -> HmcReport {
-    use ntx_sched::JobKind;
     let hmc = ntx_sched::HmcConfig::default();
     let freq = ClusterConfig::default().ntx_freq_hz;
-    // Streaming conv3x3: the Table I shape at two filters, image in
-    // external memory — compute overlaps the stream, so the curve
-    // shows how much slack the double buffering hides.
-    let conv_kernel = Conv2dKernel {
-        height: 66,
-        width: 63,
-        k: 3,
-        filters: 2,
-    };
-    let conv = JobKind::Conv2d {
-        kernel: conv_kernel,
-        image: test_data(
-            (conv_kernel.height * conv_kernel.width) as usize,
-            0x0d15_ea5e,
-        ),
-        weights: test_data((9 * conv_kernel.filters) as usize, 0x600d_cafe),
-    };
-    // Streaming low-intensity GEMM: a thin K makes the A/B/C streams
-    // dominate the MACs — the memory-bound end of the sweep.
-    let dims = GemmKernel { m: 48, k: 8, n: 24 };
-    let gemm = JobKind::Gemm {
-        dims,
-        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
-        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
-    };
-    let conv = hmc_curve("conv3x3 66x63x2 streaming", &conv, counts, hmc, freq);
-    let gemm = hmc_curve("gemm 48x8x24 streaming", &gemm, counts, hmc, freq);
+    let [(conv_label, conv), (gemm_label, gemm)] = streaming_pair();
+    let conv = hmc_curve(conv_label, &conv, counts, hmc, freq);
+    let gemm = hmc_curve(gemm_label, &gemm, counts, hmc, freq);
     let bit_identical = conv
         .points
         .iter()
@@ -1185,11 +1192,7 @@ fn mesh_curve(
                     ((i + shift) % n, Some(cube_of(i)))
                 });
             let eq = |a: &Vec<Vec<f32>>, b: &Vec<Vec<f32>>| {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(x, y)| {
-                        x.len() == y.len()
-                            && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-                    })
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits_equal(x, y))
             };
             MeshScalingPoint {
                 clusters: n,
@@ -1233,32 +1236,12 @@ pub fn mesh_report() -> MeshReport {
 /// unit tests run a reduced sweep; `report-mesh` runs the full one).
 #[must_use]
 pub fn mesh_report_sweep(points: &[(usize, u32)]) -> MeshReport {
-    use ntx_sched::JobKind;
     let mesh_of = |cubes: u32| ntx_sched::MeshConfig::default().with_cubes(cubes);
     let probe = mesh_of(1);
     let freq = ClusterConfig::default().ntx_freq_hz;
-    let conv_kernel = Conv2dKernel {
-        height: 66,
-        width: 63,
-        k: 3,
-        filters: 2,
-    };
-    let conv = JobKind::Conv2d {
-        kernel: conv_kernel,
-        image: test_data(
-            (conv_kernel.height * conv_kernel.width) as usize,
-            0x0d15_ea5e,
-        ),
-        weights: test_data((9 * conv_kernel.filters) as usize, 0x600d_cafe),
-    };
-    let dims = GemmKernel { m: 48, k: 8, n: 24 };
-    let gemm = JobKind::Gemm {
-        dims,
-        a: test_data((dims.m * dims.k) as usize, 0xbead_5eed),
-        b: test_data((dims.k * dims.n) as usize, 0xface_b00c),
-    };
-    let conv = mesh_curve("conv3x3 66x63x2 streaming", &conv, points, mesh_of);
-    let gemm = mesh_curve("gemm 48x8x24 streaming", &gemm, points, mesh_of);
+    let [(conv_label, conv), (gemm_label, gemm)] = streaming_pair();
+    let conv = mesh_curve(conv_label, &conv, points, mesh_of);
+    let gemm = mesh_curve(gemm_label, &gemm, points, mesh_of);
     let bit_identical = conv
         .points
         .iter()
@@ -1292,6 +1275,31 @@ pub fn greenwave_rows() -> Vec<StencilPlatform> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The terminal rendering of `doc` names every leaf key the
+    /// document records, as a whole word.
+    fn assert_text_shows_every_key(doc: &crate::diff::Json) {
+        let text = crate::format::text("report", doc);
+        let words: Vec<&str> = text
+            .split(|c: char| c.is_whitespace() || c == ':')
+            .collect();
+        for (path, _) in crate::diff::flatten(doc) {
+            let key = path.rsplit('.').next().unwrap_or(&path);
+            let key = key.split('[').next().unwrap_or(key);
+            assert!(words.contains(&key), "{path} missing from\n{text}");
+        }
+    }
+
+    #[test]
+    fn bits_equal_compares_lengths_and_bit_patterns() {
+        assert!(bits_equal(&[1.0, -2.5], &[1.0, -2.5]));
+        assert!(!bits_equal(&[1.0, 2.0], &[1.0]));
+        assert!(!bits_equal(&[1.0], &[1.0, 2.0]));
+        assert!(!bits_equal(&[0.0], &[-0.0]));
+        let nan = f32::from_bits(0x7fc0_1234);
+        assert!(bits_equal(&[nan], &[nan]));
+        assert!(!bits_equal(&[nan], &[f32::NAN]));
+    }
 
     #[test]
     fn table1_report_is_in_the_paper_regime() {
@@ -1394,6 +1402,7 @@ mod tests {
         assert_eq!(served.deadline_misses, 0, "server missed deadlines");
         assert!(served.jobs_per_second > 0.0);
         assert!(served.occupancy > 0.0 && served.occupancy <= 1.0);
+        assert_text_shows_every_key(&crate::format::serving_json(&r));
     }
 
     #[test]
@@ -1460,6 +1469,7 @@ mod tests {
             assert!(p16.ext_wait_fraction > 0.2);
             assert!(p16.achieved_ext_bandwidth <= 1.02 * r.shared_bandwidth);
         }
+        assert_text_shows_every_key(&crate::format::hmc_json(&r));
     }
 
     #[test]
@@ -1497,6 +1507,7 @@ mod tests {
             );
             assert!(p16.naive_remote_wait_fraction > 0.0);
         }
+        assert_text_shows_every_key(&crate::format::mesh_json(&r));
     }
 
     #[test]
@@ -1572,8 +1583,7 @@ pub struct SimPerfReport {
 
 /// Runs the Table I conv3x3 streaming workload once with the given
 /// fast-path setting; returns the output planes and the perf delta.
-#[must_use]
-pub fn conv3x3_sim_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
+fn conv3x3_sim_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
     let mut cluster = Cluster::new(ClusterConfig {
         fast_path,
         ..ClusterConfig::default()
@@ -1597,8 +1607,7 @@ pub fn conv3x3_sim_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
 
 /// Runs the Table I conv3x3 kernel (all 8 filters) on a single NTX
 /// co-processor in the TCDM — the sole-master burst regime.
-#[must_use]
-pub fn conv3x3_single_ntx_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
+fn conv3x3_single_ntx_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
     let mut cluster = Cluster::new(ClusterConfig {
         fast_path,
         ..ClusterConfig::default()
@@ -1631,32 +1640,27 @@ pub fn conv3x3_single_ntx_run(fast_path: bool) -> (Vec<f32>, PerfSnapshot) {
     (out, cluster.perf().since(&before))
 }
 
+/// Times `run` in both simulator modes, best of 3 samples each.
 fn measure_workload(
     label: &'static str,
-    reps: u32,
     run: impl Fn(bool) -> (Vec<f32>, PerfSnapshot),
 ) -> SimPerfWorkload {
     use std::time::Instant;
-    let reps = reps.max(1);
     let time_mode = |fast: bool| {
         let mut best = f64::INFINITY;
         let mut result = None;
-        for _ in 0..reps {
+        for _ in 0..3 {
             let t0 = Instant::now();
             let r = run(fast);
             best = best.min(t0.elapsed().as_secs_f64());
             result = Some(r);
         }
-        let (out, perf) = result.expect("reps >= 1");
+        let (out, perf) = result.expect("sampled");
         (best, out, perf)
     };
     let (wall_fast, out_fast, perf_fast) = time_mode(true);
     let (wall_ref, out_ref, perf_ref) = time_mode(false);
-    let bit_identical = out_fast.len() == out_ref.len()
-        && out_fast
-            .iter()
-            .zip(&out_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_identical = bits_equal(&out_fast, &out_ref);
     let counters_identical = perf_fast == perf_ref;
     let elements = perf_fast.ntx_active_cycles;
     SimPerfWorkload {
@@ -1675,14 +1679,14 @@ fn measure_workload(
 }
 
 /// Times the Table I conv3x3 kernel in both execution regimes and both
-/// simulator modes (`reps` samples each, best sample kept), verifying
-/// that every simulated outcome is bit-identical — the `report-simperf`
+/// simulator modes (3 samples each, best sample kept), verifying that
+/// every simulated outcome is bit-identical — the `report-simperf`
 /// experiment.
 #[must_use]
-pub fn simperf_report(reps: u32) -> SimPerfReport {
+pub fn simperf_report() -> SimPerfReport {
     SimPerfReport {
-        streaming: measure_workload("table1_conv3x3_streaming_8ntx", reps, conv3x3_sim_run),
-        single_ntx: measure_workload("table1_conv3x3_single_ntx", reps, conv3x3_single_ntx_run),
+        streaming: measure_workload("table1_conv3x3_streaming_8ntx", conv3x3_sim_run),
+        single_ntx: measure_workload("table1_conv3x3_single_ntx", conv3x3_single_ntx_run),
     }
 }
 
@@ -2022,9 +2026,7 @@ fn chaos_outputs_identical(a: &[Option<Vec<f32>>], b: &[Option<Vec<f32>>]) -> bo
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| match (x, y) {
             (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-            }
+            (Some(x), Some(y)) => bits_equal(x, y),
             _ => false,
         })
 }
@@ -2486,11 +2488,7 @@ pub fn cpu_report() -> CpuBenchReport {
         let sim_wall_s = t0.elapsed().as_secs_f64();
         let (fast_wall_s, fast_out) = time_native(&fast, &kind);
         let (exact_wall_s, exact_out) = time_native(&exact, &kind);
-        let exact_bit_identical = exact_out.len() == sim.output.len()
-            && exact_out
-                .iter()
-                .zip(&sim.output)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+        let exact_bit_identical = bits_equal(&exact_out, &sim.output);
         let reference = cpu_reference(&kind);
         let err = ntx_fpu::rmse(&fast_out, &reference);
         points.push(CpuWorkloadPoint {
@@ -2639,10 +2637,6 @@ fn run_step_dag(
             .all(|(i, op)| op.deps.iter().all(|&d| pos[d] < pos[i]));
     let outputs = outputs.lock().expect("outputs lock").clone();
     (outputs, topological, report, wall_s)
-}
-
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Forces a TCDM-fitting GEMM through a 4-pass split-K streaming

@@ -1,5 +1,7 @@
-//! Report formatting: plain-text tables for the terminal, and the
-//! `BENCH_*.json` documents, built as [`Json`] values.
+//! Report formatting: the `BENCH_*.json` documents, built as [`Json`]
+//! values, and their terminal rendering ([`text`]); plus plain-text
+//! tables for the paper reports that write no document, since they
+//! print paper reference values beside the measured ones.
 
 use crate::diff::Json;
 use crate::experiments::{PrecisionReport, Table1Report};
@@ -245,54 +247,116 @@ pub fn greenwave(rows: &[StencilPlatform]) -> String {
     s
 }
 
-/// Formats one curve of the shared-HMC saturation sweep.
-fn hmc_curve_text(c: &crate::experiments::HmcWorkloadCurve) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("  workload: {}\n", c.workload));
-    s.push_str(&format!(
-        "  {:>8} {:>13} {:>13} {:>9} {:>11} {:>11} {:>9} {:>5}\n",
-        "clusters",
-        "ideal cyc",
-        "shared cyc",
-        "slowdown",
-        "efficiency",
-        "ext GB/s",
-        "DMA wait",
-        "bits"
-    ));
-    for p in &c.points {
-        s.push_str(&format!(
-            "  {:>8} {:>13} {:>13} {:>8.2}x {:>10.0}% {:>11.2} {:>8.0}% {:>5}\n",
-            p.clusters,
-            p.ideal_makespan_cycles,
-            p.contended_makespan_cycles,
-            p.slowdown,
-            p.efficiency * 100.0,
-            p.achieved_ext_bandwidth / 1e9,
-            p.ext_wait_fraction * 100.0,
-            if p.bit_identical { "ok" } else { "DIFF" },
-        ));
+/// Renders a `BENCH_*.json` document for the terminal under `title`.
+/// Scalar members print as aligned `key  value` lines, nested objects
+/// as indented blocks, and arrays of objects as tables, one row per
+/// element under a header of their keys. Flags read `yes`/`NO`;
+/// integers print in full, other numbers to about 4 significant
+/// digits.
+#[must_use]
+pub fn text(title: &str, doc: &Json) -> String {
+    let mut out = format!("{title}\n");
+    match doc {
+        Json::Obj(fields) => block(&mut out, fields, "  "),
+        other => out.push_str(&format!("  {}\n", cell(other))),
     }
-    s
+    out
 }
 
-/// Formats the shared-HMC saturation measurement.
-#[must_use]
-pub fn hmc(r: &crate::experiments::HmcReport) -> String {
-    let mut s = String::new();
-    s.push_str("Shared HMC — weak-scaling saturation under the vault/LoB budget\n");
-    s.push_str(&format!(
-        "  shared bandwidth: {:.1} GB/s = {:.2} DMA words per NTX cycle\n",
-        r.shared_bandwidth / 1e9,
-        r.shared_words_per_cycle
-    ));
-    s.push_str(&hmc_curve_text(&r.conv));
-    s.push_str(&hmc_curve_text(&r.gemm));
-    s.push_str(&format!(
-        "  outputs bit-identical across memory models: {}\n",
-        if r.bit_identical { "yes" } else { "NO" }
-    ));
-    s
+/// Writes `fields`, one member per line, at indent `pad`.
+fn block(out: &mut String, fields: &[(String, Json)], pad: &str) {
+    let width = fields
+        .iter()
+        .filter(|(_, v)| is_scalar(v))
+        .map(|(k, _)| k.chars().count())
+        .max()
+        .unwrap_or(0);
+    let inner = format!("{pad}  ");
+    for (key, value) in fields {
+        match value {
+            Json::Obj(members) => {
+                out.push_str(&format!("{pad}{key}:\n"));
+                block(out, members, &inner);
+            }
+            Json::Arr(items) => {
+                out.push_str(&format!("{pad}{key}:\n"));
+                table(out, items, &inner);
+            }
+            scalar => out.push_str(&format!("{pad}{key:<width$}  {}\n", cell(scalar))),
+        }
+    }
+}
+
+fn is_scalar(v: &Json) -> bool {
+    !matches!(v, Json::Obj(_) | Json::Arr(_))
+}
+
+/// Writes objects of scalars that share their keys as a table under a
+/// header of those keys, each column right-aligned to its widest cell;
+/// any other array as a block of `[i]` members.
+fn table(out: &mut String, items: &[Json], pad: &str) {
+    let keys: Vec<&str> = match items.first() {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    let rows: Option<Vec<Vec<String>>> = items
+        .iter()
+        .map(|item| match item {
+            Json::Obj(fields)
+                if fields.len() == keys.len()
+                    && fields
+                        .iter()
+                        .zip(&keys)
+                        .all(|((k, v), key)| k == key && is_scalar(v)) =>
+            {
+                Some(fields.iter().map(|(_, v)| cell(v)).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    let Some(rows) = rows.filter(|_| !keys.is_empty()) else {
+        let indexed: Vec<(String, Json)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (format!("[{i}]"), v.clone()))
+            .collect();
+        return block(out, &indexed, pad);
+    };
+    let header = keys.iter().map(|k| (*k).to_owned()).collect();
+    let lines: Vec<Vec<String>> = std::iter::once(header).chain(rows).collect();
+    let widths: Vec<usize> = (0..keys.len())
+        .map(|c| {
+            lines
+                .iter()
+                .map(|l| l[c].chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    for line in &lines {
+        let cells: Vec<String> = line
+            .iter()
+            .zip(&widths)
+            .map(|(s, &w)| format!("{s:>w$}"))
+            .collect();
+        out.push_str(&format!("{pad}{}\n", cells.join("  ")));
+    }
+}
+
+/// One scalar as text: flags `yes`/`NO`, integers in full, other
+/// finite numbers to about 4 significant digits.
+fn cell(v: &Json) -> String {
+    match v {
+        Json::Bool(b) => (if *b { "yes" } else { "NO" }).to_owned(),
+        // `fract` of an infinity is NaN, so this arm is finite only.
+        Json::Num(x) if x.fract() == 0.0 => format!("{x:.0}"),
+        Json::Num(x) if (1e-3..1e6).contains(&x.abs()) => {
+            format!("{x:.*}", (3.0 - x.abs().log10().floor()) as usize)
+        }
+        Json::Num(x) if x.is_finite() => format!("{x:.3e}"),
+        Json::Str(s) => s.clone(),
+        other => other.to_string(),
+    }
 }
 
 fn hmc_point_json(p: &crate::experiments::HmcScalingPoint) -> Json {
@@ -326,61 +390,6 @@ pub fn hmc_json(r: &crate::experiments::HmcReport) -> Json {
         "gemm" => hmc_curve_json(&r.gemm),
         "bit_identical" => r.bit_identical,
     }
-}
-
-/// Formats one curve of the mesh weak-scaling sweep.
-fn mesh_curve_text(c: &crate::experiments::MeshWorkloadCurve) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("  workload: {}\n", c.workload));
-    s.push_str(&format!(
-        "  {:>8} {:>5} {:>12} {:>12} {:>12} {:>8} {:>8} {:>11} {:>9} {:>5}\n",
-        "clusters",
-        "cubes",
-        "ideal cyc",
-        "affine cyc",
-        "naive cyc",
-        "aff eff",
-        "nai eff",
-        "remote MB",
-        "rem wait",
-        "bits"
-    ));
-    for p in &c.points {
-        s.push_str(&format!(
-            "  {:>8} {:>5} {:>12} {:>12} {:>12} {:>7.0}% {:>7.0}% {:>11.2} {:>8.0}% {:>5}\n",
-            p.clusters,
-            p.cubes,
-            p.ideal_makespan_cycles,
-            p.affine_makespan_cycles,
-            p.naive_makespan_cycles,
-            p.affine_efficiency * 100.0,
-            p.naive_efficiency * 100.0,
-            p.naive_remote_bytes as f64 / 1e6,
-            p.naive_remote_wait_fraction * 100.0,
-            if p.bit_identical { "ok" } else { "DIFF" },
-        ));
-    }
-    s
-}
-
-/// Formats the multi-cube mesh measurement.
-#[must_use]
-pub fn mesh(r: &crate::experiments::MeshReport) -> String {
-    let mut s = String::new();
-    s.push_str("HMC mesh — weak scaling over cubes, data-affine vs naive placement\n");
-    s.push_str(&format!(
-        "  per-cube bandwidth: {:.1} GB/s; serial link: {:.2} words/cycle, {} cycles latency\n",
-        r.cube_bandwidth / 1e9,
-        r.link_words_per_cycle,
-        r.link_latency_cycles
-    ));
-    s.push_str(&mesh_curve_text(&r.conv));
-    s.push_str(&mesh_curve_text(&r.gemm));
-    s.push_str(&format!(
-        "  outputs bit-identical across memory models and placements: {}\n",
-        if r.bit_identical { "yes" } else { "NO" }
-    ));
-    s
 }
 
 fn mesh_point_json(p: &crate::experiments::MeshScalingPoint) -> Json {
@@ -417,97 +426,6 @@ pub fn mesh_json(r: &crate::experiments::MeshReport) -> Json {
         "gemm" => mesh_curve_json(&r.gemm),
         "bit_identical" => r.bit_identical,
     }
-}
-
-/// Formats the simulator fast-path measurement.
-#[must_use]
-pub fn simperf(r: &crate::experiments::SimPerfReport) -> String {
-    let mut s = String::new();
-    s.push_str("Simulator hot loop — burst fast path vs pure per-cycle path\n");
-    for w in [&r.streaming, &r.single_ntx] {
-        s.push_str(&format!(
-            "  {} ({} simulated cycles, {} elements)\n",
-            w.workload, w.cycles, w.elements
-        ));
-        s.push_str(&format!(
-            "    per-cycle {:>10.3} ms ({:.3e} el/s)   burst {:>10.3} ms ({:.3e} el/s)   speedup {:.2}x\n",
-            w.wall_reference_s * 1e3,
-            w.elements_per_sec_reference,
-            w.wall_fast_s * 1e3,
-            w.elements_per_sec_fast,
-            w.speedup
-        ));
-        s.push_str(&format!(
-            "    bit-identical outputs: {}; identical cycle/stall counters: {}\n",
-            w.bit_identical, w.counters_identical
-        ));
-    }
-    s
-}
-
-/// Formats the serving-stack measurement.
-#[must_use]
-pub fn serving(r: &crate::experiments::ServingBenchReport) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "Serving stack — one farm for every queue runner, analytical backend, async front-end\n",
-    );
-    s.push_str(&format!(
-        "  mixed queue: {} jobs on {} clusters\n",
-        r.jobs, r.clusters
-    ));
-    s.push_str(&format!(
-        "  barriered replay   : {:>12} cycles (same placement; {:>8} full-width)\n  \
-         pipelined farm     : {:>12} cycles  (queue admitted, then drained; {:.2}x vs barriered, \
-         {:.2}x vs full-width, outputs bit-identical: {}, per-job counters identical: {})\n",
-        r.barriered_makespan_cycles,
-        r.fullwidth_makespan_cycles,
-        r.pipelined_makespan_cycles,
-        r.pipelined_speedup,
-        r.fullwidth_speedup,
-        if r.bit_identical { "yes" } else { "NO" },
-        if r.snapshots_identical { "yes" } else { "NO" },
-    ));
-    s.push_str(&format!(
-        "  continuous farm    : {:>12} cycles  (admission interleaved with retires, outputs vs \
-         barriered same-placement oracle bit-identical: {})\n",
-        r.continuous_makespan_cycles,
-        if r.continuous_bit_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-    ));
-    s.push_str(&format!(
-        "  analytical backend : {:>12} cycles estimated, {} simulator cycles spent\n",
-        r.estimated_cycles_total, r.estimate_sim_cycles
-    ));
-    let st = &r.continuous;
-    s.push_str(&format!(
-        "  server (continuous): {} jobs, {:.1} jobs/s, latency mean {:.1} ms / max {:.1} ms, \
-         occupancy {:.0}%, {} deadline misses\n",
-        st.served_jobs,
-        st.jobs_per_second,
-        st.mean_latency_s * 1e3,
-        st.max_latency_s * 1e3,
-        st.occupancy * 100.0,
-        st.deadline_misses
-    ));
-    s.push_str(&format!(
-        "  worker-pool scaling ({} host cores, bit-identical to serial: {}):\n",
-        r.host_cores,
-        if r.pool_bit_identical { "yes" } else { "NO" },
-    ));
-    for p in &r.pool_scaling {
-        s.push_str(&format!(
-            "    {} thread{}: {:>8.1} jobs/s  ({:.2}x)\n",
-            p.threads,
-            if p.threads == 1 { " " } else { "s" },
-            p.jobs_per_second,
-            p.speedup
-        ));
-    }
-    s
 }
 
 /// One server-run block of the `BENCH_serving.json` artifact.
@@ -580,68 +498,6 @@ pub fn simperf_json(r: &crate::experiments::SimPerfReport) -> Json {
     }
 }
 
-/// Renders the chaos / robustness measurement for the terminal.
-#[must_use]
-pub fn chaos(r: &crate::experiments::ChaosBenchReport) -> String {
-    let mut s = String::new();
-    s.push_str("Chaos serving — fault injection, recovery, overload control\n");
-    s.push_str(&format!(
-        "  trace: {} jobs on {} clusters, closed-loop calibration {} cycles\n",
-        r.jobs, r.clusters, r.calib_makespan_cycles
-    ));
-    s.push_str(&format!(
-        "  recovery (kill 1/{} + stalls): {} -> {} cycles ({:.3}x, bound {:.3}x), \
-         {} jobs lost, outputs bit-identical: {}\n",
-        r.clusters,
-        r.baseline_makespan_cycles,
-        r.faulted_makespan_cycles,
-        r.makespan_ratio,
-        r.degradation_bound,
-        r.jobs_lost,
-        if r.recovery_bit_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-    ));
-    s.push_str(&format!(
-        "    {} faults injected, {} shards re-placed, {} stall cycles absorbed\n",
-        r.faults_injected, r.shards_retried, r.fault_stall_cycles
-    ));
-    for (mode, st) in [("0.5x load", &r.unsaturated), ("2.0x load", &r.saturated)] {
-        s.push_str(&format!(
-            "  {mode}: {}/{} completed, {} shed, latency p50/p99/p999 = {}/{}/{} cycles, \
-             miss rate {:.1}%\n",
-            st.completed,
-            st.offered,
-            st.shed,
-            st.p50_cycles,
-            st.p99_cycles,
-            st.p999_cycles,
-            st.miss_rate() * 100.0,
-        ));
-    }
-    s.push_str(&format!(
-        "  shedding: accepted-job p99 ratio {:.3}x (bound {:.1}x), budget {} cycles\n",
-        r.p99_ratio, r.p99_bound, r.budget_cycles
-    ));
-    s.push_str(&format!(
-        "  link fault (1/4 bandwidth): remote wait {} -> {} cycles, outputs bit-identical: {}\n",
-        r.link_wait_base_cycles,
-        r.link_wait_faulted_cycles,
-        if r.link_bit_identical { "yes" } else { "NO" },
-    ));
-    s.push_str(&format!(
-        "  async front-end: {} submitted, {} completed, {} backpressure, \
-         every outcome explicit: {}\n",
-        r.async_submitted,
-        r.async_completed,
-        r.async_backpressure,
-        if r.async_all_explicit { "yes" } else { "NO" },
-    ));
-    s
-}
-
 /// One open-loop run block of the `BENCH_chaos.json` artifact.
 fn chaos_run_json(st: &crate::experiments::ChaosRunStats) -> Json {
     obj! {
@@ -689,48 +545,6 @@ pub fn chaos_json(r: &crate::experiments::ChaosBenchReport) -> Json {
     }
 }
 
-/// Formats the native-CPU backend report as a text table.
-#[must_use]
-pub fn cpu(r: &crate::experiments::CpuBenchReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Native CPU backend vs cycle-accurate simulator ({} host cores, {} worker threads)\n",
-        r.host_cores, r.threads
-    ));
-    s.push_str(&format!(
-        "  {:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>9} {:>6} {:>11}\n",
-        "workload",
-        "elems",
-        "sim [ms]",
-        "fast [us]",
-        "exact [us]",
-        "fast x",
-        "exact x",
-        "bits",
-        "fast rmse"
-    ));
-    for p in &r.workloads {
-        s.push_str(&format!(
-            "  {:<18} {:>8} {:>12.3} {:>12.2} {:>12.2} {:>9.0} {:>9.0} {:>6} {:>11.3e}\n",
-            p.workload,
-            p.elements,
-            p.sim_wall_s * 1e3,
-            p.fast_wall_s * 1e6,
-            p.exact_wall_s * 1e6,
-            p.fast_speedup,
-            p.exact_speedup,
-            if p.exact_bit_identical { "ok" } else { "FAIL" },
-            p.fast_rmse
-        ));
-    }
-    s.push_str(&format!(
-        "  exact mode bit-identical: {}   gated fast speedup (conv3x3, dot-4096): {:.0}x\n",
-        if r.exact_bit_identical { "yes" } else { "NO" },
-        r.gated_fast_speedup
-    ));
-    s
-}
-
 fn cpu_point_json(p: &crate::experiments::CpuWorkloadPoint) -> Json {
     obj! {
         "workload" => p.workload.as_str(),
@@ -756,66 +570,6 @@ pub fn cpu_json(r: &crate::experiments::CpuBenchReport) -> Json {
         "exact_bit_identical" => r.exact_bit_identical,
         "gated_fast_speedup" => r.gated_fast_speedup,
     }
-}
-
-/// Formats the training-step DAG report as a text table.
-#[must_use]
-pub fn dnn(r: &crate::experiments::DnnBenchReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "Whole-network training step as a job DAG: {} (batch {}), {} GEMM ops, \
-         dims capped to {}, {} clusters\n",
-        r.network, r.batch, r.ops, r.dim_cap, r.clusters
-    ));
-    s.push_str(&format!(
-        "  {:<18} {:>6} {:>8} {:>12} {:>16} {:>6}\n",
-        "run", "jobs", "failed", "wall [ms]", "makespan [cyc]", "order"
-    ));
-    for run in &r.runs {
-        s.push_str(&format!(
-            "  {:<18} {:>6} {:>8} {:>12.2} {:>16} {:>6}\n",
-            run.backend,
-            run.jobs,
-            run.failed,
-            run.wall_s * 1e3,
-            run.makespan_cycles,
-            if run.order_topological { "ok" } else { "FAIL" }
-        ));
-    }
-    s.push_str(&format!(
-        "  sim == native-exact bitwise: {}   sim rerun bitwise-identical: {}\n",
-        if r.sim_native_bit_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-        if r.sim_deterministic { "yes" } else { "NO" }
-    ));
-    s.push_str(&format!(
-        "  split-K vs resident oracle bit-identical: {}   deep GEMM 8x6000x4 \
-         bit-identical: {} (fast-mode max |err| {:.3e})\n",
-        if r.split_oracle_bit_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-        if r.deep_split_bit_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-        r.deep_fast_max_abs_err
-    ));
-    s.push_str(&format!(
-        "  executed DAG: {:.3} MMAC   full-size step: {:.2} GMAC, Table II model \
-         predicts {:.1} ms ({:.1} Gflop) on {} clusters\n",
-        r.scaled_macs as f64 / 1e6,
-        r.full_macs as f64 / 1e9,
-        r.predicted_step_s * 1e3,
-        r.predicted_flops / 1e9,
-        r.clusters
-    ));
-    s
 }
 
 fn dnn_run_json(run: &crate::experiments::DnnStepRun) -> Json {
@@ -878,5 +632,39 @@ mod tests {
         assert!(out.contains("improvement"));
         let out = greenwave(&experiments::greenwave_rows());
         assert!(out.contains("Green Wave"));
+    }
+
+    #[test]
+    fn text_renders_a_document_to_an_exact_string() {
+        let doc = obj! {
+            "clusters" => 8u32,
+            "makespan_ratio" => 1.10378,
+            "bit_identical" => true,
+            "err" => 3.9e-5,
+            "bandwidth" => 31_999_999_999.5,
+            "unsaturated" => obj! { "offered" => 64u32, "deadline_misses" => 0u32 },
+            "runs" => Json::Arr(vec![
+                obj! { "backend" => "simulator", "jobs" => 23u32, "ok" => true },
+                obj! { "backend" => "native", "jobs" => 5u32, "ok" => false },
+            ]),
+            "split_ok" => false,
+        };
+        let expect = "\
+Chaos
+  clusters        8
+  makespan_ratio  1.104
+  bit_identical   yes
+  err             3.900e-5
+  bandwidth       3.200e10
+  unsaturated:
+    offered          64
+    deadline_misses  0
+  runs:
+      backend  jobs   ok
+    simulator    23  yes
+       native     5   NO
+  split_ok        NO
+";
+        assert_eq!(text("Chaos", &doc), expect);
     }
 }

@@ -4,8 +4,9 @@
 //! running the cycle simulator where the paper ran its gate-level
 //! simulation, and the calibrated analytical models where the paper
 //! extrapolated — and returns the data the paper's table or figure
-//! plots. The `report-*` binaries print them; the Criterion benches
-//! in `benches/` time the underlying simulations.
+//! plots. The `report-*` binaries print them. The seven that record a
+//! `BENCH_*.json` document print that same document through
+//! [`format::text`]; `report-simperf` times the simulator hot loop.
 
 #![forbid(unsafe_code)]
 

@@ -321,14 +321,22 @@ impl ScaleOutExecutor {
     /// validated, sized and tiled — so a bad submission fails the whole
     /// batch before any simulation time is spent, with the queue intact
     /// and nothing placed; errors name the offending job. The jobs are
-    /// then admitted in submission order, exactly as the
-    /// [`Server`](crate::Server) admits them (virtual-cycle deadlines
-    /// aside: a batch sheds nothing), and the farm is drained. Results
-    /// come back in submission order.
+    /// then all admitted, in submission order, before the first shard
+    /// retires, and the farm is drained. Results come back in
+    /// submission order.
+    ///
+    /// Admission goes through the same path as the
+    /// [`Server`](crate::Server)'s, with two differences: `priority` is
+    /// ignored (the server orders each admission group by it), and a
+    /// batch sheds nothing on virtual-cycle deadlines. Because every
+    /// job is admitted up front, a dependency edge could not hold a
+    /// job back: a job with [`deps`](Job::deps) is rejected. Submit
+    /// job DAGs to a `Server`.
     ///
     /// # Errors
     ///
-    /// [`SchedError::Job`] wrapping the first admission failure, or
+    /// [`SchedError::Job`] wrapping the first admission failure (a
+    /// job with dependency edges fails with [`SchedError::Shape`]), or
     /// naming a job a cluster kill left with no live cluster
     /// ([`SchedError::Capacity`]).
     pub fn run_queue(&mut self, queue: &mut JobQueue) -> Result<BatchResult, SchedError> {
@@ -339,7 +347,16 @@ impl ScaleOutExecutor {
         };
         let plans = queue
             .iter()
-            .map(|job| self.plan(job).map_err(|e| named(job, e)))
+            .map(|job| match job.deps.first() {
+                Some(dep) => Err(named(
+                    job,
+                    SchedError::Shape(format!(
+                        "dependency edge on job {dep}: run_queue admits every job \
+                         before the first retires; serve job DAGs through a Server"
+                    )),
+                )),
+                None => self.plan(job).map_err(|e| named(job, e)),
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let mut results: Vec<Option<JobResult>> = Vec::with_capacity(plans.len());
         // Farm jobs by id: their result slot and label. A committed job
@@ -624,6 +641,33 @@ mod tests {
         }
         // Pre-validation failed before any job ran: the queue is intact.
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn dependency_edges_are_rejected_not_ignored() {
+        // Admitted up front, the dependent would start at cycle 0 on an
+        // idle cluster, long before its predecessor finishes: the edge
+        // is refused instead of silently ignored.
+        let mut exec = ScaleOutExecutor::new(ScaleOutConfig::with_clusters(4));
+        let mut q = JobQueue::new();
+        let first = q
+            .job("first")
+            .axpy(1.0, data(2000, 1), data(2000, 2))
+            .submit();
+        let dependent = q
+            .job("dependent")
+            .axpy(1.0, data(64, 3), data(64, 4))
+            .after_id(first)
+            .submit();
+        match exec.run_queue(&mut q) {
+            Err(SchedError::Job { id, label, source }) => {
+                assert_eq!((id, label.as_str()), (dependent, "dependent"));
+                assert!(matches!(*source, SchedError::Shape(_)), "{source:?}");
+            }
+            other => panic!("expected SchedError::Job, got {other:?}"),
+        }
+        assert_eq!(q.len(), 2);
+        assert_eq!(exec.perf_totals().cycles, 0);
     }
 
     /// A raw job whose 32-byte result window starts 16 bytes before the

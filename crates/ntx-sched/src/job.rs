@@ -251,12 +251,14 @@ pub struct Job {
     /// continuous server admits this job the event its last
     /// predecessor's completion is delivered (whatever that
     /// completion's outcome), so a training step can be expressed as a
-    /// DAG of layer jobs. Unknown ids park the job until the
-    /// predecessor is submitted; predecessors that never complete fail
-    /// it at shutdown with
-    /// [`SchedError::DependencyDropped`](crate::SchedError). A FIFO
-    /// [`JobQueue`] honors edges by construction when predecessors are
-    /// enqueued first.
+    /// DAG of layer jobs. Edges order *admission*, not simulated time:
+    /// an admitted dependent may land on an idle cluster whose clock is
+    /// still behind its predecessor's finish cycle. Unknown ids park
+    /// the job until the predecessor is submitted; predecessors that
+    /// never complete fail it at shutdown with
+    /// [`SchedError::DependencyDropped`](crate::SchedError).
+    /// [`ScaleOutExecutor::run_queue`](crate::ScaleOutExecutor::run_queue)
+    /// admits a whole queue at once, so it rejects a job with edges.
     pub deps: Vec<u64>,
 }
 

@@ -254,9 +254,12 @@ impl<S: JobSink> ReadyJob<S> {
     /// [`Completion`] to react to failures). Chains of `after` calls
     /// accumulate; the job waits for *all* recorded predecessors.
     /// Predecessors that never complete before shutdown fail this job
-    /// with [`SchedError::DependencyDropped`]. Edges are honored by
-    /// the server and by FIFO [`JobQueue`] execution (when
-    /// predecessors are enqueued first).
+    /// with [`SchedError::DependencyDropped`]. Edges order the server's
+    /// *admission*, not simulated time: an admitted dependent may start
+    /// on an idle cluster whose clock is behind its predecessor's
+    /// finish cycle. Only the server honors edges;
+    /// [`ScaleOutExecutor::run_queue`](crate::ScaleOutExecutor::run_queue)
+    /// rejects a [`JobQueue`] job that has them.
     #[must_use]
     pub fn after(mut self, handle: &crate::JobHandle) -> Self {
         self.deps.push(handle.id);
