@@ -1029,15 +1029,16 @@ fn hmc_curve(
     hmc: ntx_sched::HmcConfig,
     freq_hz: f64,
 ) -> HmcWorkloadCurve {
-    use ntx_sched::MemoryModel;
+    use ntx_sched::{MemoryModel, MeshConfig};
+    // The shared cube: a 1-cube mesh, every cluster local to it.
+    let shared = MemoryModel::HmcMesh(MeshConfig::default().with_cubes(1).with_cube(hmc));
     let points = counts
         .iter()
         .map(|&n| {
             // One streaming job per cluster, each on its own cluster.
             let own = |c| (c, None);
             let (ideal, _, out_i) = placed_single_shard_run(kind, n, MemoryModel::Ideal, own);
-            let (contended, perf, out_c) =
-                placed_single_shard_run(kind, n, MemoryModel::SharedHmc(hmc), own);
+            let (contended, perf, out_c) = placed_single_shard_run(kind, n, shared, own);
             let bit_identical = out_i.len() == out_c.len()
                 && out_i.iter().zip(&out_c).all(|(a, b)| bits_equal(a, b));
             let seconds = contended as f64 / freq_hz;

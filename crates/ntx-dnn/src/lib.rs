@@ -5,7 +5,7 @@
 //! energy efficiency of one full-precision training pass. This crate
 //! provides layer-exact descriptions of those networks
 //! ([`networks`]), per-layer compute/parameter/activation accounting
-//! ([`Layer`]), and the training-pass cost model ([`training`]) that
+//! ([`Layer`]), and the training-pass cost model ([`TrainingModel`]) that
 //! the system-level evaluation in `ntx-model` consumes.
 //!
 //! # Example

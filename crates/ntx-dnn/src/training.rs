@@ -43,7 +43,7 @@ impl TrainingCost {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingModel {
     /// Minibatch size (paper-era ImageNet training commonly used 64 to
-    /// 256 per device; the default follows [12]).
+    /// 256 per device; the default follows \[12\]).
     pub batch: u32,
     /// Backward/forward compute ratio (3 = fwd + bwd-data + bwd-weight).
     pub pass_factor: u32,

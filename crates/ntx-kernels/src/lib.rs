@@ -2,7 +2,7 @@
 //!
 //! Every kernel the paper evaluates is implemented twice:
 //!
-//! * as a **plain-Rust reference** ([`reference`]) used as the
+//! * as a **plain-Rust reference** ([`reference`](mod@reference)) used as the
 //!   correctness oracle, and
 //! * as an **NTX lowering** that programs the hardware loops and AGUs
 //!   of the cycle simulator ([`blas`], [`conv`], [`stencil`]) and runs

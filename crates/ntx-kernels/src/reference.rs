@@ -160,7 +160,7 @@ pub fn laplace3d(input: &[f32], depth: usize, height: usize, width: usize) -> Ve
     out
 }
 
-/// The 13-coefficient diffusion stencil of [16] (§III-B3): a 3×3 plane
+/// The 13-coefficient diffusion stencil of \[16\] (§III-B3): a 3×3 plane
 /// stencil plus two ±z neighbour pairs, decomposable into NTX
 /// instructions with nine, two and two coefficients. Operates on the
 /// interior of a `depth × height × width` grid.

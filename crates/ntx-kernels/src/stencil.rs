@@ -7,7 +7,7 @@
 //! decomposed pass in which every output point is a `taps`-long dot
 //! product of input samples spaced a constant stride apart. The discrete
 //! Laplace operators (1-D/2-D/3-D), the 13-coefficient diffusion stencil
-//! of [16] (9 + 2 + 2 decomposition) and the Green-Wave-style 8th-order
+//! of \[16\] (9 + 2 + 2 decomposition) and the Green-Wave-style 8th-order
 //! Laplacian are all built from it; later passes accumulate into the
 //! output of earlier ones through the memory-initialised accumulator.
 
@@ -400,7 +400,7 @@ impl Laplace3dKernel {
     }
 }
 
-/// The 13-coefficient diffusion stencil of [16]: a 3×3 in-plane pass
+/// The 13-coefficient diffusion stencil of \[16\]: a 3×3 in-plane pass
 /// plus two z-pair passes (the paper's 9 + 2 + 2 decomposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffusionKernel {

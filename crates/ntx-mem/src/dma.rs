@@ -18,15 +18,15 @@ use crate::interconnect::{Interconnect, MasterId};
 use crate::tcdm::Tcdm;
 use std::collections::VecDeque;
 
-/// Outcome of one [`DmaEngine::burst_sole_throttled`] call.
+/// Outcome of one [`DmaEngine::burst_sole`] call.
 ///
 /// The caller needs both counts because they diverge under a binding
 /// bandwidth budget: `cycles` advances the cluster clock, while
 /// `active_cycles` (cycles with at least one TCDM request) advances
 /// the cluster's busy counter; the difference is the cycles the engine
-/// sat waiting for an external-memory slot.
+/// sat waiting for an external-memory slot (zero on the ideal memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ThrottledBurst {
+pub struct DmaBurst {
     /// Cycles consumed (including zero-grant wait cycles).
     pub cycles: u64,
     /// Cycles in which the engine issued at least one TCDM request.
@@ -339,130 +339,63 @@ impl DmaEngine {
     /// Drains the head descriptor as the *sole* TCDM master for up to
     /// `max_cycles` cycles, stopping at the descriptor boundary so
     /// completion-watermark pollers observe the same transition points
-    /// as with per-cycle stepping. Returns the cycles consumed (0 when
-    /// idle).
+    /// as with per-cycle stepping.
+    ///
+    /// `port` is the external-memory slot schedule every beat draws
+    /// from, anchored to the cluster clock by `start_cycle`; `None` is
+    /// the ideal memory, where every cycle is granted and no grant is
+    /// looked up.
     ///
     /// Bit-exact with the per-cycle `desired_accesses`/`arbitrate`/
-    /// `commit` protocol: with a single master every access is granted
-    /// (one word per bank per cycle), so rows are moved as whole batched
-    /// slices, with all counters — TCDM/external traffic, interconnect
+    /// `commit` protocol with the desired list truncated to the cycle's
+    /// granted slots: with a single master every access is granted (one
+    /// word per bank per cycle), so rows are moved as whole batched
+    /// slices clipped at the run of consecutive granted cycles, with
+    /// all counters — TCDM/external traffic, interconnect
     /// requests/grants and round-robin state, DMA busy cycles and bytes
-    /// — advanced by exactly what the cycle-accurate path would produce.
+    /// — advanced by exactly what the cycle-accurate path would
+    /// produce. Zero-grant cycles advance time without issuing TCDM
+    /// requests or touching any traffic counter.
     pub fn burst_sole(
         &mut self,
         tcdm: &mut Tcdm,
         ext: &mut ExtMemory,
         interconnect: &mut Interconnect,
-        max_cycles: u64,
-    ) -> u64 {
-        let Some(desc) = self.queue.front().copied() else {
-            return 0;
-        };
-        let total = desc.total_words();
-        let wpr = u64::from(desc.row_bytes / 4);
-        let mut cycles = 0u64;
-        if self.words_per_cycle == 1 {
-            // One word per cycle: a row run of L words is exactly L
-            // conflict-free cycles — move it as one slice.
-            while self.current_word < total && cycles < max_cycles {
-                let col = self.current_word % wpr;
-                let run = (wpr - col)
-                    .min(total - self.current_word)
-                    .min(max_cycles - cycles) as usize;
-                let (ea, ta) = desc.word_addrs(self.current_word);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                scratch.resize(run, 0);
-                match desc.dir {
-                    DmaDirection::ExtToTcdm => {
-                        ext.read_words_into(ea, &mut scratch[..run]);
-                        tcdm.write_words_from(ta, &scratch[..run]);
-                    }
-                    DmaDirection::TcdmToExt => {
-                        tcdm.read_words_into(ta, &mut scratch[..run]);
-                        ext.write_words_from(ea, &scratch[..run]);
-                    }
-                }
-                self.scratch = scratch;
-                interconnect.grant_stream(MasterId::Dma, ta, 4, run as u32);
-                self.current_word += run as u64;
-                cycles += run as u64;
-                self.busy_cycles += run as u64;
-                self.bytes_moved += 4 * run as u64;
-            }
-            if self.current_word == total {
-                self.queue.pop_front();
-                self.current_word = 0;
-                self.completed += 1;
-            }
-            self.sync_cursor();
-        } else {
-            // Wider ports can straddle a row boundary within one cycle
-            // (two non-consecutive words may share a bank); run the
-            // cycle-accurate protocol with reused buffers instead.
-            let before = self.completed;
-            let mut addrs: Vec<u32> = Vec::with_capacity(self.words_per_cycle as usize);
-            let mut grants: Vec<bool> = vec![false; self.words_per_cycle as usize];
-            while self.completed == before && cycles < max_cycles {
-                self.desired_accesses_into(&mut addrs);
-                interconnect.arbitrate_sole(MasterId::Dma, &addrs, &mut grants[..addrs.len()]);
-                let n = addrs.len();
-                self.commit(&grants[..n], tcdm, ext);
-                cycles += 1;
-            }
-        }
-        cycles
-    }
-
-    /// Drains the head descriptor as the sole TCDM master while every
-    /// external-memory beat draws from the shared HMC slot budget of
-    /// `port` — the contended-aware variant of
-    /// [`DmaEngine::burst_sole`]. `start_cycle` anchors the grant
-    /// schedule to the cluster clock; the burst stops at the
-    /// descriptor boundary or after `max_cycles`, whichever comes
-    /// first.
-    ///
-    /// Bit-exact with the clipped per-cycle protocol (truncate the
-    /// desired accesses to the cycle's granted slot count, arbitrate,
-    /// commit): whole-row slices are still moved in batches, but each
-    /// batch clips at the run of consecutive granted cycles, and
-    /// zero-grant cycles advance time without issuing TCDM requests or
-    /// touching any traffic counter.
-    pub fn burst_sole_throttled(
-        &mut self,
-        tcdm: &mut Tcdm,
-        ext: &mut ExtMemory,
-        interconnect: &mut Interconnect,
-        port: HmcPort,
+        port: Option<HmcPort>,
         start_cycle: u64,
         max_cycles: u64,
-    ) -> ThrottledBurst {
+    ) -> DmaBurst {
         let Some(desc) = self.queue.front().copied() else {
-            return ThrottledBurst::default();
+            return DmaBurst::default();
         };
         let total = desc.total_words();
         let wpr = u64::from(desc.row_bytes / 4);
-        let mut out = ThrottledBurst::default();
+        let mut out = DmaBurst::default();
         if self.words_per_cycle == 1 {
             while self.current_word < total && out.cycles < max_cycles {
-                let t = start_cycle + out.cycles;
-                if port.granted(t) == 0 {
-                    // No slot this cycle: the beat stays pending, no
-                    // TCDM request is issued.
-                    out.cycles += 1;
-                    continue;
-                }
-                // Extend the batch over consecutive granted cycles,
-                // clipped at the row run (one conflict-free word per
-                // granted cycle, exactly as the per-cycle protocol).
-                let col = self.current_word % wpr;
-                let cap = (wpr - col)
+                // One word per granted cycle: a row run of L granted
+                // cycles is exactly L conflict-free cycles — move it
+                // as one slice.
+                let cap = (wpr - self.current_word % wpr)
                     .min(total - self.current_word)
                     .min(max_cycles - out.cycles);
-                let mut run = 1u64;
-                while run < cap && port.granted(t + run) > 0 {
-                    run += 1;
-                }
-                let run = run as usize;
+                let run = match port {
+                    None => cap,
+                    Some(p) => {
+                        let t = start_cycle + out.cycles;
+                        if p.granted(t) == 0 {
+                            // No slot this cycle: the beat stays
+                            // pending, no TCDM request is issued.
+                            out.cycles += 1;
+                            continue;
+                        }
+                        let mut run = 1u64;
+                        while run < cap && p.granted(t + run) > 0 {
+                            run += 1;
+                        }
+                        run
+                    }
+                } as usize;
                 let (ea, ta) = desc.word_addrs(self.current_word);
                 let mut scratch = std::mem::take(&mut self.scratch);
                 scratch.resize(run, 0);
@@ -491,24 +424,25 @@ impl DmaEngine {
             }
             self.sync_cursor();
         } else {
-            // Wider ports run the cycle-accurate protocol with the
-            // desired list clipped to the cycle's slot grant.
+            // Wider ports can straddle a row boundary within one cycle
+            // (two non-consecutive words may share a bank); run the
+            // cycle-accurate protocol with reused buffers and the
+            // desired list clipped to the cycle's slot grant instead.
             let before = self.completed;
             let mut addrs: Vec<u32> = Vec::with_capacity(self.words_per_cycle as usize);
             let mut grants: Vec<bool> = vec![false; self.words_per_cycle as usize];
             while self.completed == before && out.cycles < max_cycles {
-                let t = start_cycle + out.cycles;
-                let allow = port.granted(t).min(self.words_per_cycle) as usize;
                 self.desired_accesses_into(&mut addrs);
-                addrs.truncate(allow);
+                if let Some(p) = port {
+                    addrs.truncate(p.granted(start_cycle + out.cycles) as usize);
+                }
+                out.cycles += 1;
                 if addrs.is_empty() {
-                    out.cycles += 1;
                     continue;
                 }
                 interconnect.arbitrate_sole(MasterId::Dma, &addrs, &mut grants[..addrs.len()]);
                 let n = addrs.len();
                 self.commit(&grants[..n], tcdm, ext);
-                out.cycles += 1;
                 out.active_cycles += 1;
             }
         }
@@ -664,83 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn burst_matches_per_cycle_protocol() {
-        for wpc in [1u32, 2] {
-            // Reference: the cycle-accurate desired/arbitrate/commit loop.
-            let mut dma_ref = DmaEngine::new(wpc);
-            let mut tcdm_ref = Tcdm::default();
-            let mut ext_ref = ExtMemory::new();
-            let mut ic_ref = Interconnect::new(32);
-            // Burst path.
-            let mut dma = DmaEngine::new(wpc);
-            let mut tcdm = Tcdm::default();
-            let mut ext = ExtMemory::new();
-            let mut ic = Interconnect::new(32);
-            let image: Vec<f32> = (0..64).map(|i| i as f32).collect();
-            for e in [&mut ext_ref, &mut ext] {
-                e.write_f32_slice(0, &image);
-                e.reset_counters();
-            }
-            let descs = [
-                DmaDescriptor {
-                    ext_addr: 4,
-                    tcdm_addr: 0x100,
-                    row_bytes: 20,
-                    rows: 3,
-                    ext_stride: 28,
-                    tcdm_stride: 20,
-                    dir: DmaDirection::ExtToTcdm,
-                },
-                DmaDescriptor::linear(0x400, 0x100, 40, DmaDirection::TcdmToExt),
-            ];
-            for d in descs {
-                dma_ref.push(d);
-                dma.push(d);
-            }
-            let mut ref_cycles = 0u64;
-            while !dma_ref.is_idle() {
-                let addrs = dma_ref.desired_accesses();
-                let reqs: Vec<crate::BankRequest> = addrs
-                    .iter()
-                    .map(|&addr| crate::BankRequest {
-                        master: MasterId::Dma,
-                        addr,
-                    })
-                    .collect();
-                let grants = ic_ref.arbitrate(&reqs);
-                dma_ref.commit(&grants, &mut tcdm_ref, &mut ext_ref);
-                ref_cycles += 1;
-            }
-            let mut cycles = 0u64;
-            while !dma.is_idle() {
-                let c = dma.burst_sole(&mut tcdm, &mut ext, &mut ic, u64::MAX);
-                assert!(c > 0, "burst must make progress");
-                cycles += c;
-            }
-            assert_eq!(cycles, ref_cycles, "wpc {wpc}");
-            assert_eq!(dma.bytes_moved(), dma_ref.bytes_moved());
-            assert_eq!(dma.busy_cycles(), dma_ref.busy_cycles());
-            assert_eq!(dma.completed(), dma_ref.completed());
-            assert_eq!(ic.requests(), ic_ref.requests());
-            assert_eq!(ic.grants(), ic_ref.grants());
-            assert_eq!(ic.conflicts(), ic_ref.conflicts());
-            assert_eq!(
-                (tcdm.reads(), tcdm.writes()),
-                (tcdm_ref.reads(), tcdm_ref.writes())
-            );
-            assert_eq!(ext.bytes_read(), ext_ref.bytes_read());
-            assert_eq!(ext.bytes_written(), ext_ref.bytes_written());
-            for a in (0..0x200u32).step_by(4) {
-                assert_eq!(tcdm.peek_u32(a), tcdm_ref.peek_u32(a), "tcdm @{a:#x}");
-            }
-            assert_eq!(
-                ext.read_f32_slice(0x400, 10),
-                ext_ref.read_f32_slice(0x400, 10)
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "word aligned")]
     fn unaligned_descriptor_rejected() {
         let mut dma = DmaEngine::new(1);
@@ -754,18 +611,21 @@ mod tests {
         crate::hmc::HmcSubsystem::new(cfg, ports, 1.25e9, wpc).port(index)
     }
 
-    #[test]
-    fn throttled_burst_matches_clipped_per_cycle_protocol() {
+    /// The one burst differential: drives two descriptors through
+    /// [`DmaEngine::burst_sole`] in 7-cycle chunks and through the
+    /// per-cycle reference, for every port width, and checks every
+    /// counter and the moved data.
+    fn burst_matches_reference(port_for: impl Fn(u32) -> Option<HmcPort>) {
         for wpc in [1u32, 2] {
-            let port = tight_port(4, 1, wpc);
-            assert!(port.throttles());
-            // Reference: the cycle-accurate protocol with the desired
-            // list truncated to the cycle's granted slot count.
+            let port = port_for(wpc);
+            // Reference: the cycle-accurate desired/arbitrate/commit
+            // loop with the desired list truncated to the cycle's
+            // granted slot count (every slot on the ideal memory).
             let mut dma_ref = DmaEngine::new(wpc);
             let mut tcdm_ref = Tcdm::default();
             let mut ext_ref = ExtMemory::new();
             let mut ic_ref = Interconnect::new(32);
-            // Throttled burst path.
+            // Burst path.
             let mut dma = DmaEngine::new(wpc);
             let mut tcdm = Tcdm::default();
             let mut ext = ExtMemory::new();
@@ -793,7 +653,7 @@ mod tests {
             }
             let mut ref_cycles = 0u64;
             while !dma_ref.is_idle() {
-                let allow = port.granted(ref_cycles).min(wpc) as usize;
+                let allow = port.map_or(wpc, |p| p.granted(ref_cycles)) as usize;
                 let mut addrs = dma_ref.desired_accesses();
                 addrs.truncate(allow);
                 let reqs: Vec<crate::BankRequest> = addrs
@@ -808,30 +668,61 @@ mod tests {
                 ref_cycles += 1;
             }
             let mut cycles = 0u64;
+            let mut active = 0u64;
             while !dma.is_idle() {
-                // Small max_cycles chunks exercise resume-mid-starve.
-                let b = dma.burst_sole_throttled(&mut tcdm, &mut ext, &mut ic, port, cycles, 7);
-                assert!(b.cycles > 0, "burst must consume cycles");
+                // 7-cycle chunks resume mid-row and mid-starve.
+                let b = dma.burst_sole(&mut tcdm, &mut ext, &mut ic, port, cycles, 7);
+                assert!(b.cycles > 0, "burst must make progress");
                 assert!(b.active_cycles <= b.cycles);
                 cycles += b.cycles;
+                active += b.active_cycles;
             }
-            assert_eq!(cycles, ref_cycles, "wpc {wpc}");
-            assert_eq!(dma.bytes_moved(), dma_ref.bytes_moved());
-            assert_eq!(dma.busy_cycles(), dma_ref.busy_cycles());
-            assert_eq!(dma.completed(), dma_ref.completed());
-            assert_eq!(ic.requests(), ic_ref.requests());
-            assert_eq!(ic.grants(), ic_ref.grants());
-            assert_eq!(ic.conflicts(), ic_ref.conflicts());
-            assert_eq!(ext.bytes_read(), ext_ref.bytes_read());
-            assert_eq!(ext.bytes_written(), ext_ref.bytes_written());
+            let case = format!("wpc {wpc}, port {port:?}");
+            assert_eq!(cycles, ref_cycles, "{case}");
+            // Slot waits appear exactly when the port binds.
+            assert_eq!(active < cycles, port.is_some(), "{case}");
+            assert_eq!(dma.bytes_moved(), dma_ref.bytes_moved(), "{case}");
+            assert_eq!(dma.busy_cycles(), dma_ref.busy_cycles(), "{case}");
+            assert_eq!(dma.completed(), dma_ref.completed(), "{case}");
+            assert_eq!(ic.requests(), ic_ref.requests(), "{case}");
+            assert_eq!(ic.grants(), ic_ref.grants(), "{case}");
+            assert_eq!(ic.conflicts(), ic_ref.conflicts(), "{case}");
+            assert_eq!(
+                (tcdm.reads(), tcdm.writes()),
+                (tcdm_ref.reads(), tcdm_ref.writes()),
+                "{case}"
+            );
+            assert_eq!(ext.bytes_read(), ext_ref.bytes_read(), "{case}");
+            assert_eq!(ext.bytes_written(), ext_ref.bytes_written(), "{case}");
             for a in (0..0x200u32).step_by(4) {
-                assert_eq!(tcdm.peek_u32(a), tcdm_ref.peek_u32(a), "tcdm @{a:#x}");
+                assert_eq!(
+                    tcdm.peek_u32(a),
+                    tcdm_ref.peek_u32(a),
+                    "{case}: tcdm @{a:#x}"
+                );
             }
             assert_eq!(
                 ext.read_f32_slice(0x400, 10),
-                ext_ref.read_f32_slice(0x400, 10)
+                ext_ref.read_f32_slice(0x400, 10),
+                "{case}"
             );
         }
+    }
+
+    #[test]
+    fn burst_matches_per_cycle_protocol() {
+        // The ideal memory: every cycle is granted.
+        burst_matches_reference(|_| None);
+    }
+
+    #[test]
+    fn throttled_burst_matches_clipped_per_cycle_protocol() {
+        // A port whose shared budget binds.
+        burst_matches_reference(|wpc| {
+            let port = tight_port(4, 1, wpc);
+            assert!(port.throttles());
+            Some(port)
+        });
     }
 
     #[test]
@@ -842,7 +733,7 @@ mod tests {
         let ports = 4u32;
         let words = 400u32;
         let cfg = crate::hmc::HmcConfig::default().with_interconnect_bits(64);
-        let mut sub = crate::hmc::HmcSubsystem::new(cfg, ports, 1.25e9, 1);
+        let sub = crate::hmc::HmcSubsystem::new(cfg, ports, 1.25e9, 1);
         let share = sub.shared_words_per_cycle() / f64::from(ports);
         let expected = f64::from(words) / share;
         let mut finish = Vec::new();
@@ -851,7 +742,8 @@ mod tests {
             let mut dma = DmaEngine::new(1);
             let mut tcdm = Tcdm::default();
             let mut ic = Interconnect::new(32);
-            sub.mem(i).write_f32_slice(0, &vec![1.0; words as usize]);
+            let mut ext = ExtMemory::new();
+            ext.write_f32_slice(0, &vec![1.0; words as usize]);
             dma.push(DmaDescriptor::linear(
                 0,
                 0,
@@ -861,7 +753,7 @@ mod tests {
             let mut cycles = 0u64;
             while !dma.is_idle() {
                 cycles += dma
-                    .burst_sole_throttled(&mut tcdm, sub.mem(i), &mut ic, port, cycles, u64::MAX)
+                    .burst_sole(&mut tcdm, &mut ext, &mut ic, Some(port), cycles, u64::MAX)
                     .cycles;
             }
             assert_eq!(dma.bytes_moved(), u64::from(4 * words));

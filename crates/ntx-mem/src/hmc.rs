@@ -1,17 +1,22 @@
-//! The shared Hybrid Memory Cube external-memory subsystem (Fig. 1).
+//! The Hybrid Memory Cube external-memory bandwidth schedule (Fig. 1).
 //!
 //! The paper's full system attaches `m` processing clusters to the main
 //! interconnect on the Logic Base (LoB) of an HMC 2.0 device: 4 DRAM
 //! dies, 32 vaults, 1 GB capacity, four serial links off-cube, and a
 //! 256-bit main interconnect at 1 GHz. [`HmcConfig`] captures that
 //! organisation for the system-level models in `ntx-model`; on top of
-//! it [`HmcSubsystem`] models the *bandwidth* of the cube for the cycle
+//! it [`HmcSubsystem`] models the *bandwidth* of one cube for the cycle
 //! simulator: every attached cluster port draws its external-memory
 //! word slots from one shared per-cycle budget (the LoB interconnect
 //! capped by the aggregate vault bandwidth), so scale-out runs
 //! reproduce the memory-bound saturation of the companion architecture
-//! paper instead of each cluster owning an ideal private
-//! [`ExtMemory`].
+//! paper instead of each cluster owning an ideal private pipe. The
+//! subsystem schedules bandwidth only: every cluster keeps its own
+//! sparse [`ExtMemory`](crate::ExtMemory) (the LoB steers each
+//! cluster's working set to a disjoint vault group, so address spaces
+//! never collide). A farm reaches a cube through
+//! [`HmcMesh`](crate::mesh::HmcMesh); a single shared cube is a 1-cube
+//! mesh.
 //!
 //! ## Arbitration model
 //!
@@ -27,28 +32,15 @@
 //! saturation study measures. Because grants are state-free, clusters
 //! can still be simulated independently (and in parallel) without
 //! lock-stepping the farm, and a run is bit-reproducible by
-//! construction.
-//!
-//! The schedule is *work-conserving with respect to a declared demand
-//! vector*: [`HmcSubsystem::port_among`] divides every cycle's slots
-//! across only the ports named active, so slots an idle port would
-//! have wasted are redistributed within the same cycle and a lone
-//! active cluster receives the full pipe (capped at its own AXI
-//! width) instead of its 1/N fair share. Grants remain a pure
-//! function of `(cycle, port, demand vector, budget)` — nothing is
-//! negotiated at run time, so independent per-cluster simulation is
-//! preserved. Declaring every port active ([`HmcSubsystem::port`])
-//! reproduces the saturated schedule bit for bit; that saturated
-//! demand vector is what the cluster farm assumes, since its drive
-//! modes must observe identical grants without lock-stepping.
+//! construction. The price is that a lone streaming cluster still
+//! receives only its 1/N fair share: slots an idle port leaves unused
+//! are not redistributed.
 //!
 //! Only *timing* flows through the arbiter. Data ordering is untouched
 //! (a denied slot delays the in-order DMA stream, it never reorders
 //! it), so outputs of a contended run are bit-identical to the ideal
 //! run — enforced by the differential proptests in `ntx-sim` and
 //! `ntx-sched`.
-
-use crate::ext_mem::ExtMemory;
 
 /// Organisation of one HMC device and its LoB.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,20 +133,18 @@ impl HmcConfig {
 /// Which external-memory model a multi-cluster system simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MemoryModel {
-    /// Every cluster owns a private ideal [`ExtMemory`] with the full
-    /// AXI-port bandwidth — the pre-contention model, kept as the
-    /// timing baseline and data oracle.
+    /// Every cluster owns a private ideal [`ExtMemory`](crate::ExtMemory)
+    /// with the full AXI-port bandwidth — the pre-contention model,
+    /// kept as the timing baseline and data oracle.
     #[default]
     Ideal,
-    /// All clusters draw their external-memory slots from the shared
-    /// vault/LoB bandwidth of one [`HmcSubsystem`]; data outputs stay
-    /// bit-identical to [`MemoryModel::Ideal`], only timing changes.
-    SharedHmc(HmcConfig),
     /// Clusters are block-partitioned over the cubes of an
     /// [`HmcMesh`](crate::mesh::HmcMesh): each cube arbitrates only
     /// its attached clusters, and off-home-cube traffic pays the
-    /// serial-link clip and hop latency. Data outputs stay
-    /// bit-identical to [`MemoryModel::Ideal`], only timing changes.
+    /// serial-link clip and hop latency. One shared cube is
+    /// `MeshConfig::default().with_cubes(1).with_cube(hmc)`. Data
+    /// outputs stay bit-identical to [`MemoryModel::Ideal`], only
+    /// timing changes.
     HmcMesh(crate::mesh::MeshConfig),
 }
 
@@ -271,18 +261,10 @@ impl HmcPort {
     }
 }
 
-/// The shared external-memory subsystem: the backing stores of every
-/// attached cluster plus the per-cycle slot schedule they all draw
-/// bandwidth from.
-///
-/// Each port owns a private byte-addressed image (the LoB steers each
-/// cluster's working set to a disjoint vault group, so address spaces
-/// do not collide), which callers either access in place
-/// ([`HmcSubsystem::mem`] — the standalone multi-DMA tests) or move
-/// into their clusters ([`HmcSubsystem::take_memories`] — the
-/// `ntx-sched` farm). Bandwidth, unlike storage, is shared: every
-/// port's [`HmcPort::granted`] draws from the same
-/// [`HmcConfig::shared_bandwidth`] budget.
+/// The bandwidth schedule of one cube: the per-cycle slot budget every
+/// attached cluster port draws from. Each port's [`HmcPort::granted`]
+/// draws from the same [`HmcConfig::shared_bandwidth`] budget; storage
+/// stays with the clusters.
 ///
 /// # Example
 ///
@@ -305,7 +287,6 @@ pub struct HmcSubsystem {
     pub(crate) ports: u32,
     pub(crate) port_words_per_cycle: u32,
     pub(crate) budget_q16: u64,
-    mems: Vec<ExtMemory>,
 }
 
 impl HmcSubsystem {
@@ -334,7 +315,6 @@ impl HmcSubsystem {
             ports,
             port_words_per_cycle,
             budget_q16,
-            mems: (0..ports).map(|_| ExtMemory::new()).collect(),
         }
     }
 
@@ -371,62 +351,6 @@ impl HmcSubsystem {
             budget_q16: self.budget_q16,
             degrade: None,
         }
-    }
-
-    /// The work-conserving grant schedule of port `index` when only
-    /// the ports in `active` are streaming: every cycle's slots are
-    /// divided across the active set alone, so an idle port's share is
-    /// redistributed within the same cycle instead of wasted. With
-    /// every port active this is exactly [`HmcSubsystem::port`]; with a
-    /// single active port it receives the full shared pipe, capped at
-    /// its own AXI width.
-    ///
-    /// The demand vector is an explicit *static* input — grants stay a
-    /// pure function of `(cycle, port, active, budget)`, so clusters
-    /// that agree on the active set up front still simulate
-    /// independently without negotiating at run time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `active` is strictly increasing, within range, and
-    /// contains `index`.
-    #[must_use]
-    pub fn port_among(&self, index: u32, active: &[u32]) -> HmcPort {
-        assert!(!active.is_empty(), "active set must name at least one port");
-        assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active set must be strictly increasing"
-        );
-        assert!(
-            *active.last().unwrap() < self.ports,
-            "active port index out of range"
-        );
-        let rank = active
-            .binary_search(&index)
-            .expect("index must be in the active set") as u32;
-        HmcPort {
-            index: rank,
-            ports: active.len() as u32,
-            port_words_per_cycle: self.port_words_per_cycle,
-            budget_q16: self.budget_q16,
-            degrade: None,
-        }
-    }
-
-    /// Mutable access to the backing store of port `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (or its store was taken).
-    pub fn mem(&mut self, index: u32) -> &mut ExtMemory {
-        &mut self.mems[index as usize]
-    }
-
-    /// Moves the backing stores out (one per port, in port order) so a
-    /// cluster farm can install them behind its AXI ports; the
-    /// subsystem keeps arbitrating the bandwidth.
-    pub fn take_memories(&mut self) -> Vec<ExtMemory> {
-        std::mem::take(&mut self.mems)
     }
 }
 
@@ -565,86 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn lone_active_port_receives_full_pipe() {
-        // 64 attached ports, but only one is streaming: the
-        // work-conserving schedule must hand it every issued slot
-        // (capped at its AXI width) instead of the 1/64 fair share the
-        // saturated schedule would give it.
-        let sub = HmcSubsystem::new(HmcConfig::default(), 64, 1.25e9, 8);
-        let lone = sub.port_among(17, &[17]);
-        let window = 1000u64;
-        let mut granted = 0u64;
-        let mut issued = 0u64;
-        for t in 0..window {
-            issued += lone.total_slots(t);
-            granted += u64::from(lone.granted(t));
-        }
-        assert_eq!(granted, issued, "lone port must drain the full budget");
-        assert!((granted as f64 / window as f64 - 6.4).abs() < 1e-2);
-        // The saturated schedule throttles the same port to ~0.1 w/c.
-        let shared: u64 = (0..window)
-            .map(|t| u64::from(sub.port(17).granted(t)))
-            .sum();
-        assert!(
-            shared < granted / 32,
-            "fair share is far below the full pipe"
-        );
-        // The port's own AXI width still caps the grant: a 1-word port
-        // cannot sink more than 1 word/cycle even when alone.
-        let narrow = HmcSubsystem::new(HmcConfig::default(), 64, 1.25e9, 1);
-        let lone = narrow.port_among(5, &[5]);
-        for t in 0..window {
-            assert_eq!(lone.granted(t), 1);
-        }
-        assert!(!lone.throttles(), "a lone 1-word port is uncontended");
-    }
-
-    #[test]
-    fn all_active_demand_reproduces_saturated_schedule() {
-        // Declaring every port active is bitwise the PR 5 saturated
-        // schedule — the farm relies on this to keep its default
-        // demand vector backwards-compatible.
-        let sub = HmcSubsystem::new(HmcConfig::default(), 8, 1.25e9, 2);
-        let all: Vec<u32> = (0..8).collect();
-        for i in 0..8 {
-            assert_eq!(sub.port_among(i, &all), sub.port(i));
-        }
-    }
-
-    #[test]
-    fn subset_demand_is_work_conserving_and_fair() {
-        // Three of 64 ports active: every issued slot must land on one
-        // of them, split fairly, regardless of which indices they are.
-        let sub = HmcSubsystem::new(HmcConfig::default(), 64, 1.25e9, 8);
-        let active = [3u32, 9, 31];
-        let window = 3 * 500u64;
-        let mut per_port = vec![0u64; active.len()];
-        let mut issued = 0u64;
-        for t in 0..window {
-            issued += sub.port(0).total_slots(t);
-            for (w, &i) in per_port.iter_mut().zip(&active) {
-                *w += u64::from(sub.port_among(i, &active).granted(t));
-            }
-        }
-        let granted: u64 = per_port.iter().sum();
-        assert_eq!(granted, issued, "no slot is wasted on idle ports");
-        let fair = issued as f64 / active.len() as f64;
-        for (&i, &w) in active.iter().zip(&per_port) {
-            assert!(
-                (w as f64 - fair).abs() <= 1.0,
-                "port {i} got {w} of fair {fair:.1}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "active set")]
-    fn port_among_rejects_unsorted_demand() {
-        let sub = HmcSubsystem::new(HmcConfig::default(), 8, 1.25e9, 1);
-        let _ = sub.port_among(3, &[3, 1]);
-    }
-
-    #[test]
     fn degraded_window_clips_grants_then_recovers() {
         // A lone uncontended port: full width outside the window,
         // half the slots inside a 50% clip window.
@@ -671,16 +515,5 @@ mod tests {
         for t in 0..400 {
             assert_eq!(faulty.granted(t), again.granted(t));
         }
-    }
-
-    #[test]
-    fn backing_stores_are_per_port_and_takeable() {
-        let mut sub = HmcSubsystem::new(HmcConfig::default(), 2, 1.25e9, 1);
-        sub.mem(0).write_f32(0x40, 1.5);
-        sub.mem(1).write_f32(0x40, -2.5);
-        assert_eq!(sub.mem(0).read_f32(0x40), 1.5);
-        let mut mems = sub.take_memories();
-        assert_eq!(mems.len(), 2);
-        assert_eq!(mems[1].read_f32(0x40), -2.5);
     }
 }

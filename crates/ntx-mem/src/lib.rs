@@ -16,14 +16,16 @@
 //!   HMC's DRAM vaults in the paper) with traffic counters, stored as
 //!   sparse 64 KiB pages so the whole 64-bit space costs only what is
 //!   written;
-//! * [`hmc`] — the shared Hybrid Memory Cube subsystem: organisation
-//!   parameters for the system-level models, plus the
-//!   [`HmcSubsystem`]/[`HmcPort`] per-cycle bandwidth arbiter that
-//!   multi-cluster simulations draw their external-memory slots from
-//!   (selected via [`MemoryModel`]);
+//! * [`hmc`] — the Hybrid Memory Cube: organisation parameters for the
+//!   system-level models, plus the [`HmcSubsystem`]/[`HmcPort`]
+//!   per-cycle bandwidth schedule that multi-cluster simulations draw
+//!   their external-memory slots from (selected via [`MemoryModel`]);
+//!   it schedules bandwidth only, each cluster keeps its own
+//!   [`ExtMemory`];
 //! * [`mesh`] — the multi-cube scale-out substrate: an [`HmcMesh`] of
-//!   per-cube subsystems with home-cube data placement and a
-//!   serial-link hop model for remote traffic.
+//!   per-cube schedules with home-cube data placement and a
+//!   serial-link hop model for remote traffic. One shared cube is a
+//!   1-cube mesh.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,7 @@ mod interconnect;
 pub mod mesh;
 mod tcdm;
 
-pub use dma::{DmaDescriptor, DmaDirection, DmaEngine, ThrottledBurst};
+pub use dma::{DmaBurst, DmaDescriptor, DmaDirection, DmaEngine};
 pub use ext_mem::ExtMemory;
 pub use hmc::{HmcConfig, HmcPort, HmcSubsystem, MemoryModel};
 pub use interconnect::{BankRequest, Interconnect, MasterId};

@@ -19,13 +19,13 @@
 //! share a cube exactly as consecutive NTX clusters share a LoB. Each
 //! job's operand region lives on a *home cube* ([`HmcMesh::home_of`]:
 //! an explicit assignment, or round-robin by job id). A cluster
-//! reading its own cube's data gets a local port — the cube's
-//! work-conserving slot schedule over its attached clusters only, so
-//! an 8-cube mesh with one cluster per cube hands every cluster the
-//! full per-cube pipe. A cluster reading a *remote* cube's data gets
-//! a port whose slot budget is pre-clipped to the *minimum* of (a)
-//! the LoB share the home cube would hand one extra round-robin party
-//! beyond its attached clusters and (b) its share of one serial link,
+//! reading its own cube's data gets a local port — the cube's fair
+//! slot schedule over its attached clusters only, so an 8-cube mesh
+//! with one cluster per cube hands every cluster the full per-cube
+//! pipe. A cluster reading a *remote* cube's data gets a port whose
+//! slot budget is pre-clipped to the *minimum* of (a) the LoB share
+//! the home cube would hand one extra round-robin party beyond its
+//! attached clusters and (b) its share of one serial link,
 //! time-shared by the source cube's clusters — remote traffic can
 //! never beat the link.
 //!
@@ -37,19 +37,18 @@
 //! `(cycle, geometry, budgets)`: farm clusters still simulate
 //! independently (on any worker thread) and runs are
 //! bit-reproducible. Like the single cube, the mesh arbitrates
-//! *timing only* — backing stores are private per cluster, so outputs
-//! are bit-identical to an ideal-memory run. The remote schedule is
+//! *timing only* — backing stores are private per cluster (each
+//! cluster's own [`ExtMemory`](crate::ExtMemory)), so outputs are
+//! bit-identical to an ideal-memory run. The remote schedule is
 //! deliberately open-loop: the home cube's local ports do not observe
 //! remote contenders (each side prices the other statically), which
 //! keeps the no-lock-step property at the cost of a slightly
 //! optimistic aggregate during mixed local/remote bursts.
 //!
-//! A 1-cube mesh degenerates to the PR 5 single-cube path bit for bit:
-//! every cluster is local, the lone cube arbitrates all of them, and
-//! no link cap is ever constructed (enforced by proptest in
-//! `ntx-sched`).
+//! A 1-cube mesh is the single shared cube of Fig. 1: every cluster is
+//! local, the lone cube arbitrates all of them, and no link cap is
+//! ever constructed.
 
-use crate::ext_mem::ExtMemory;
 use crate::hmc::{HmcConfig, HmcPort, HmcSubsystem, SLOT_FP_BITS};
 
 /// Organisation of the mesh: how many cubes, what each cube is, and
@@ -307,28 +306,6 @@ impl HmcMesh {
     pub fn link_words_per_cycle(&self) -> f64 {
         self.link_budget_q16 as f64 / f64::from(1u32 << SLOT_FP_BITS)
     }
-
-    /// Mutable access to the backing store of `cluster` (cluster
-    /// order, i.e. port order within cube order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is out of range (or its store was taken).
-    pub fn mem(&mut self, cluster: u32) -> &mut ExtMemory {
-        let cube = self.cube_of(cluster);
-        let rank = self.rank_in_cube(cluster);
-        self.cubes[cube as usize].mem(rank)
-    }
-
-    /// Moves all backing stores out, one per cluster in cluster order,
-    /// so a farm can install them behind its AXI ports; the mesh keeps
-    /// arbitrating the bandwidth.
-    pub fn take_memories(&mut self) -> Vec<ExtMemory> {
-        self.cubes
-            .iter_mut()
-            .flat_map(HmcSubsystem::take_memories)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -439,19 +416,6 @@ mod tests {
         assert_eq!(mesh.home_of(0, Some(6)), 2, "explicit homes wrap");
         assert!(mesh.is_local(7, 3));
         assert!(!mesh.is_local(0, 3));
-    }
-
-    #[test]
-    fn memories_come_out_in_cluster_order() {
-        let mut mesh = HmcMesh::new(MeshConfig::default().with_cubes(4), 10, 1.25e9, 1);
-        for c in 0..10 {
-            mesh.mem(c).write_f32(0x10, c as f32);
-        }
-        let mut mems = mesh.take_memories();
-        assert_eq!(mems.len(), 10);
-        for (c, mem) in mems.iter_mut().enumerate() {
-            assert_eq!(mem.read_f32(0x10), c as f32);
-        }
     }
 
     #[test]

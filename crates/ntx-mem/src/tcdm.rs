@@ -11,7 +11,7 @@
 /// Geometry of the TCDM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TcdmConfig {
-    /// Total capacity in bytes (paper: 64 kB; [12] used 128 kB).
+    /// Total capacity in bytes (paper: 64 kB; \[12\] used 128 kB).
     pub bytes: u32,
     /// Number of banks (paper: 32).
     pub banks: u32,

@@ -1,7 +1,7 @@
 //! RV32IMC control-core substrate.
 //!
 //! The NTX cluster pairs its co-processors with *"a small 32 bit RISC-V
-//! processor core (RV32IMC)"* (§II-A, the RI5CY core of [18]) that
+//! processor core (RV32IMC)"* (§II-A, the RI5CY core of \[18\]) that
 //! performs address calculation, programs the DMA, and offloads NTX
 //! commands through memory-mapped registers (§II-E). This crate is a
 //! from-scratch instruction-accurate interpreter of that core:

@@ -92,8 +92,8 @@ fn estimate_for(job: &Job, shards: usize, roofline: &Roofline, freq_hz: f64) -> 
 
 /// Roofline instance matching a scale-out configuration: peaks from
 /// the cluster hardware parameters, conflict derating from the
-/// paper's §III-C measurement, and — under [`MemoryModel::SharedHmc`]
-/// — the memory roof capped at this cluster's fair share of the
+/// paper's §III-C measurement, and — under [`MemoryModel::HmcMesh`]
+/// — the memory roof capped at this cluster's fair share of its
 /// cube's vault/LoB bandwidth, so admission estimates and the
 /// analytical backend see the same saturation ceiling the cycle-level
 /// arbiter enforces.
@@ -105,9 +105,6 @@ fn roofline_for(config: &ScaleOutConfig) -> Roofline {
     };
     match config.memory {
         MemoryModel::Ideal => r,
-        MemoryModel::SharedHmc(hmc) => {
-            r.with_shared_bandwidth(hmc.shared_bandwidth(), config.clusters)
-        }
         MemoryModel::HmcMesh(mesh) => r.with_mesh_bandwidth(
             mesh.cube.shared_bandwidth(),
             config.clusters,
@@ -200,7 +197,7 @@ impl DurationTable {
 
     /// Folds one retired shard into the EWMA. The first observation of
     /// a class replaces the seed outright — a real measurement beats a
-    /// guess — and later ones blend in with [`EWMA_ALPHA`].
+    /// guess — and later ones blend in with weight `EWMA_ALPHA`.
     pub fn observe(&mut self, class: JobClass, estimated: u64, measured: u64) {
         if estimated == 0 {
             return;

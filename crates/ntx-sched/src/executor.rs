@@ -15,7 +15,7 @@
 //! [`Server`](crate::Server) interleaves the same two calls with its
 //! channel.
 
-use ntx_mem::{HmcConfig, MemoryModel, MeshConfig};
+use ntx_mem::{MemoryModel, MeshConfig};
 use ntx_sim::{ClusterConfig, PerfSnapshot};
 
 use crate::backend::{
@@ -35,12 +35,12 @@ pub struct ScaleOutConfig {
     pub clusters: usize,
     /// Configuration of every cluster.
     pub cluster: ClusterConfig,
-    /// External-memory model: ideal private memories (the default),
-    /// one shared HMC whose vault/LoB bandwidth every cluster's DMA
-    /// draws from ([`MemoryModel::SharedHmc`]), or a multi-cube mesh
-    /// with per-cube subsystems and serial-link hop costs
-    /// ([`MemoryModel::HmcMesh`]). Data outputs are bit-identical
-    /// either way; only timing changes.
+    /// External-memory model: ideal private memories (the default), or
+    /// an HMC mesh whose per-cube vault/LoB bandwidth the attached
+    /// clusters' DMAs draw from, with serial-link hop costs for remote
+    /// traffic ([`MemoryModel::HmcMesh`]; one shared cube is a 1-cube
+    /// mesh). Data outputs are bit-identical either way; only timing
+    /// changes.
     pub memory: MemoryModel,
     /// On a mesh, prefer clusters attached to a job's home cube over
     /// less-loaded remote ones (data-affine placement, the default).
@@ -87,18 +87,10 @@ impl ScaleOutConfig {
         }
     }
 
-    /// Runs every cluster against one shared HMC: DMA ext transfers
-    /// draw from the cube's vault/LoB bandwidth instead of ideal
-    /// private memories.
-    #[must_use]
-    pub fn with_shared_hmc(mut self, hmc: HmcConfig) -> Self {
-        self.memory = MemoryModel::SharedHmc(hmc);
-        self
-    }
-
-    /// Runs the farm on a multi-cube HMC mesh: clusters are block-
-    /// partitioned over the cubes, jobs carry a home cube, and remote
-    /// shards pay serial-link bandwidth and hop latency.
+    /// Runs the farm on an HMC mesh: clusters are block-partitioned
+    /// over the cubes, jobs carry a home cube, and remote shards pay
+    /// serial-link bandwidth and hop latency. One shared cube is
+    /// `MeshConfig::default().with_cubes(1).with_cube(hmc)`.
     #[must_use]
     pub fn with_hmc_mesh(mut self, mesh: MeshConfig) -> Self {
         self.memory = MemoryModel::HmcMesh(mesh);

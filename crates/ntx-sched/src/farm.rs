@@ -51,7 +51,7 @@
 //! window would make the per-job counters diverge from the barriered
 //! reference.
 
-use ntx_mem::{HmcMesh, HmcPort, HmcSubsystem, MemoryModel};
+use ntx_mem::{HmcMesh, HmcPort, MemoryModel};
 use ntx_sim::{Cluster, ClusterConfig, FaultPlan, PerfSnapshot};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -568,9 +568,8 @@ pub struct ClusterFarm {
     /// the first continuous admission of a multi-threaded farm moves
     /// the slots onto the worker pool.
     engine: Engine,
-    /// The per-cluster base configuration (before any memory-model
-    /// port injection) — builds the reference cluster at pool
-    /// activation.
+    /// The per-cluster base configuration (before any per-shard mesh
+    /// port wiring) — builds the reference cluster at pool activation.
     config: ClusterConfig,
     freq_hz: f64,
     /// Requested worker threads for continuous stepping (resolved; 1 =
@@ -594,9 +593,8 @@ pub struct ClusterFarm {
     clock: Vec<u64>,
     /// Per-cluster estimated cycles still queued (placement load).
     queued_hint: Vec<u64>,
-    /// The mesh geometry when the farm runs on [`MemoryModel::HmcMesh`]
-    /// (its backing stores are moved into the clusters; what remains
-    /// computes ports, homes, and hop costs).
+    /// The mesh geometry when the farm runs on [`MemoryModel::HmcMesh`]:
+    /// it computes ports, homes, and hop costs.
     mesh: Option<HmcMesh>,
     /// Farm-lifetime accumulation of every retired shard's counter
     /// delta (both drives) — the serving layer's source for
@@ -666,71 +664,36 @@ fn run_shard(
 
 impl ClusterFarm {
     /// Builds the farm under an explicit external-memory model. With
-    /// [`MemoryModel::SharedHmc`] one [`HmcSubsystem`] hands every
-    /// cluster its backing store and a port of the shared vault/LoB
-    /// bandwidth schedule, so concurrent DMA streams contend for
-    /// external-memory slots instead of each owning an ideal pipe —
-    /// the farm's clusters stay independent simulations (grants are a
-    /// pure function of the cycle), so both drive modes and the
-    /// worker pool keep working unchanged.
+    /// [`MemoryModel::HmcMesh`] the mesh hands each shard's cluster a
+    /// port of its home cube's vault/LoB bandwidth schedule (or a
+    /// clipped serial-link port when the shard runs remote), so
+    /// concurrent DMA streams contend for external-memory slots instead
+    /// of each owning an ideal pipe. Every cluster keeps its own
+    /// external memory: the mesh schedules bandwidth only. The farm's
+    /// clusters stay independent simulations (grants are a pure
+    /// function of the cycle), so both drive modes and the worker pool
+    /// keep working unchanged.
     ///
     /// # Panics
     ///
-    /// Panics when `clusters` is zero.
+    /// Panics when `clusters` is zero, or when a mesh has more cubes
+    /// than clusters.
     #[must_use]
     pub fn with_memory(clusters: usize, config: ClusterConfig, memory: MemoryModel) -> Self {
         assert!(clusters > 0, "need at least one cluster");
-        let mut mesh = None;
-        let slots: Vec<ClusterSlot> = match memory {
-            MemoryModel::Ideal => (0..clusters)
-                .map(|i| ClusterSlot::new(i, Cluster::new(config)))
-                .collect(),
-            MemoryModel::SharedHmc(hmc) => {
-                let mut sub = HmcSubsystem::new(
-                    hmc,
-                    u32::try_from(clusters).expect("cluster count fits u32"),
-                    config.ntx_freq_hz,
-                    config.dma_words_per_cycle,
-                );
-                sub.take_memories()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, mem)| {
-                        let mut c = Cluster::new(ClusterConfig {
-                            ext_port: Some(sub.port(i as u32)),
-                            ..config
-                        });
-                        c.install_ext(mem);
-                        ClusterSlot::new(i, c)
-                    })
-                    .collect()
-            }
-            MemoryModel::HmcMesh(mc) => {
-                let mut m = HmcMesh::new(
-                    mc,
-                    u32::try_from(clusters).expect("cluster count fits u32"),
-                    config.ntx_freq_hz,
-                    config.dma_words_per_cycle,
-                );
-                // Ports are wired per shard (they depend on the job's
-                // home cube), so clusters start with no schedule; every
-                // `run_shard` installs the right one before staging.
-                let slots = m
-                    .take_memories()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, mem)| {
-                        let mut c = Cluster::new(ClusterConfig {
-                            ext_port: None,
-                            ..config
-                        });
-                        c.install_ext(mem);
-                        ClusterSlot::new(i, c)
-                    })
-                    .collect();
-                mesh = Some(m);
-                slots
-            }
+        let slots: Vec<ClusterSlot> = (0..clusters)
+            .map(|i| ClusterSlot::new(i, Cluster::new(config)))
+            .collect();
+        // Mesh ports depend on the job's home cube, so they are wired
+        // per shard: every `run_shard` installs the right one first.
+        let mesh = match memory {
+            MemoryModel::Ideal => None,
+            MemoryModel::HmcMesh(mc) => Some(HmcMesh::new(
+                mc,
+                u32::try_from(clusters).expect("cluster count fits u32"),
+                config.ntx_freq_hz,
+                config.dma_words_per_cycle,
+            )),
         };
         Self {
             engine: Engine::Inline(slots),

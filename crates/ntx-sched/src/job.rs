@@ -149,6 +149,7 @@ impl JobKind {
 }
 
 /// Per-job serving options: backend selection, priority, deadline.
+/// Clients set them through the [`ReadyJob`](crate::ReadyJob) builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobOpts {
     /// Which backend executes the job (bit-accurate simulation by
@@ -176,63 +177,6 @@ pub struct JobOpts {
     /// placement estimate already proves it unmeetable. A
     /// [`JobQueue`] batch sheds nothing.
     pub deadline_cycles: Option<u64>,
-}
-
-impl JobOpts {
-    /// Options selecting the analytical estimate backend.
-    #[must_use]
-    pub fn estimate() -> Self {
-        Self {
-            backend: BackendKind::Estimate,
-            ..Self::default()
-        }
-    }
-
-    /// Options selecting fast native host-CPU execution.
-    #[must_use]
-    pub fn native_fast() -> Self {
-        Self {
-            backend: BackendKind::NativeFast,
-            ..Self::default()
-        }
-    }
-
-    /// Options selecting bit-exact native host-CPU execution.
-    #[must_use]
-    pub fn native_exact() -> Self {
-        Self {
-            backend: BackendKind::NativeExact,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the priority (builder style).
-    #[must_use]
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the deadline (builder style).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Pins the job's data to a mesh cube (builder style).
-    #[must_use]
-    pub fn with_home_cube(mut self, cube: u32) -> Self {
-        self.home_cube = Some(cube);
-        self
-    }
-
-    /// Sets the enforced virtual-cycle deadline (builder style).
-    #[must_use]
-    pub fn with_deadline_cycles(mut self, cycles: u64) -> Self {
-        self.deadline_cycles = Some(cycles);
-        self
-    }
 }
 
 /// One schedulable unit of work.
@@ -273,13 +217,6 @@ impl Job {
             opts: JobOpts::default(),
             deps: Vec::new(),
         }
-    }
-
-    /// Replaces the predecessor set (builder style).
-    #[must_use]
-    pub fn with_deps(mut self, deps: Vec<u64>) -> Self {
-        self.deps = deps;
-        self
     }
 
     /// Number of `f32` elements in this job's output.

@@ -11,7 +11,8 @@
 //! * **Jobs** — [`Job`]/[`JobQueue`] accept kernel descriptors from
 //!   `ntx-kernels` (GEMM, 2-D convolution, AXPY, 2-D Laplace stencil)
 //!   plus raw [`ntx_isa::NtxConfig`] commands, each with [`JobOpts`]
-//!   (backend selection, priority, deadline);
+//!   (backend selection, priority, deadline) set through the job
+//!   builder;
 //! * **Backends** — [`SimulatorBackend`] executes bit-accurately
 //!   through the cycle simulator's burst API, [`AnalyticalBackend`]
 //!   answers instantly from `ntx-model`'s roofline estimates, and
@@ -32,12 +33,13 @@
 //!   barriered [`ClusterFarm::run_batch`] replay of the same
 //!   placement, which is kept as the differential oracle;
 //! * **Memory** — [`ScaleOutConfig::memory`] selects the
-//!   external-memory model: ideal private memories, or one shared HMC
-//!   ([`MemoryModel::SharedHmc`]) whose vault/LoB bandwidth every
-//!   cluster's DMA draws from through a deterministic per-cycle slot
-//!   schedule — scale-out then shows the companion paper's
-//!   memory-bound saturation, while data outputs stay bit-identical
-//!   to the ideal runs;
+//!   external-memory model: ideal private memories, or an HMC mesh
+//!   ([`MemoryModel::HmcMesh`]) whose per-cube vault/LoB bandwidth the
+//!   attached clusters' DMAs draw from through a deterministic
+//!   per-cycle slot schedule, with serial-link costs for off-cube
+//!   traffic. One shared cube is a 1-cube mesh. Scale-out then shows
+//!   the companion paper's memory-bound saturation, while data
+//!   outputs stay bit-identical to the ideal runs;
 //! * **Tiling** — the [`Tiler`] shards each job into per-cluster tiles
 //!   sized to the TCDM, reusing the engine-level `split_work` rule so
 //!   every shard computes exactly what the single-cluster lowering
@@ -115,7 +117,7 @@ pub use farm::{
     resolve_worker_threads, ClusterFarm, FaultStats, JobMeta, PlacedJob, PoolStats, ShardRetire,
 };
 pub use job::{Job, JobClass, JobKind, JobOpts, JobQueue, RawJob};
-pub use ntx_mem::{HmcConfig, HmcMesh, HmcSubsystem, MemoryModel, MeshConfig};
+pub use ntx_mem::{HmcConfig, HmcMesh, MemoryModel, MeshConfig};
 pub use ntx_sim::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use pipeline::TilePipeline;
 pub use report::{ScaleOutReport, ServingReport};

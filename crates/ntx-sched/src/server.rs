@@ -60,15 +60,6 @@ impl ServerConfig {
         }
     }
 
-    /// Serves against one shared HMC instead of ideal private
-    /// memories (see
-    /// [`ScaleOutConfig::with_shared_hmc`](crate::ScaleOutConfig::with_shared_hmc)).
-    #[must_use]
-    pub fn with_shared_hmc(mut self, hmc: ntx_mem::HmcConfig) -> Self {
-        self.scale_out = self.scale_out.with_shared_hmc(hmc);
-        self
-    }
-
     /// Serves against a multi-cube HMC mesh with home-cube data
     /// placement (see
     /// [`ScaleOutConfig::with_hmc_mesh`](crate::ScaleOutConfig::with_hmc_mesh)).
@@ -371,15 +362,22 @@ pub struct Server {
 
 impl Server {
     /// Starts the worker thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration the farm rejects (no clusters, or a
+    /// mesh with more cubes than clusters): the executor is built here,
+    /// on the caller's thread, before any job is accepted.
     #[must_use]
     pub fn start(config: ServerConfig) -> Self {
+        let exec = ScaleOutExecutor::new(config.scale_out);
         let (tx, rx) = channel();
         let gauge = Arc::new(AdmissionGauge::new(config.queue_limit));
         let worker_gauge = Arc::clone(&gauge);
         let worker = std::thread::Builder::new()
             .name("ntx-serve".into())
             .spawn(move || {
-                let report = continuous_loop(&rx, config, &worker_gauge);
+                let report = continuous_loop(&rx, exec, &worker_gauge);
                 // Wake any submitter still blocked on a slot: the
                 // completion that would free one is never coming.
                 worker_gauge.close();
@@ -678,12 +676,12 @@ impl ContinuousState {
 /// dependents exactly once.
 fn continuous_loop(
     rx: &Receiver<Msg>,
-    config: ServerConfig,
+    exec: ScaleOutExecutor,
     gauge: &AdmissionGauge,
 ) -> ServingReport {
     let mut st = ContinuousState {
-        exec: ScaleOutExecutor::new(config.scale_out),
-        stats: ServingReport::new(config.scale_out.clusters),
+        stats: ServingReport::new(exec.num_clusters()),
+        exec,
         pending: Vec::new(),
         done: DoneIds::default(),
         waiting: Vec::new(),
@@ -1407,5 +1405,18 @@ mod tests {
             "completions should stream out as jobs retire, not bunch at the end: \
              first {first:?} vs last {last:?}"
         );
+    }
+
+    /// A farm the configuration cannot build fails `start` on the
+    /// caller's thread with the farm's own message, instead of
+    /// accepting jobs and panicking at shutdown.
+    #[test]
+    #[should_panic(expected = "every cube needs at least one attached cluster")]
+    fn misconfigured_mesh_is_rejected_at_start() {
+        // The default mesh has 4 cubes: 2 clusters cannot cover them.
+        let config = ServerConfig::with_clusters(2).with_hmc_mesh(crate::MeshConfig::default());
+        let server = Server::start(config);
+        let _ = server.session().job("axpy").kind(axpy(64, 3)).submit();
+        let _ = server.shutdown();
     }
 }

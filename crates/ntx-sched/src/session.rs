@@ -30,11 +30,11 @@
 //! synchronous executor — the builder is generic over its [`JobSink`],
 //! so `queue.job("axpy").axpy(a, x, y).submit()` and
 //! `session.job("axpy").axpy(a, x, y).submit()` read identically; only
-//! the receipt differs (a queue id vs a waitable
-//! [`JobHandle`](crate::JobHandle)). The builder is type-state-safe: a
-//! job's payload must be chosen (`gemm` / `conv2d` / `axpy` /
-//! `stencil2d` / `raw` / `kind`) before serving options and `submit`
-//! become available, so "submitted an empty job" is unrepresentable.
+//! the receipt differs (a queue id vs a waitable [`JobHandle`]). The
+//! builder is type-state-safe: a job's payload must be chosen (`gemm`
+//! / `conv2d` / `axpy` / `stencil2d` / `raw` / `kind`) before serving
+//! options and `submit` become available, so "submitted an empty job"
+//! is unrepresentable.
 
 use ntx_kernels::blas::GemmKernel;
 use ntx_kernels::conv::Conv2dKernel;
@@ -237,14 +237,6 @@ impl<S: JobSink> ReadyJob<S> {
         self.backend(BackendKind::NativeExact)
     }
 
-    /// Replaces all serving options at once (migration aid for callers
-    /// that already hold a [`JobOpts`]).
-    #[must_use]
-    pub fn opts(mut self, opts: JobOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Runs this job only after the job behind `handle` has completed.
     ///
     /// Dependency edges are **ordering-only**: the continuous server
@@ -278,10 +270,9 @@ impl<S: JobSink> ReadyJob<S> {
     }
 
     /// Records a predecessor by raw submission id — for callers that
-    /// kept the id of a callback submission instead of a
-    /// [`JobHandle`](crate::JobHandle) (see [`after`](Self::after) for
-    /// the edge semantics). An id that is never submitted parks the
-    /// job until shutdown fails it with
+    /// kept the id of a callback submission instead of a [`JobHandle`]
+    /// (see [`after`](Self::after) for the edge semantics). An id that
+    /// is never submitted parks the job until shutdown fails it with
     /// [`SchedError::DependencyDropped`].
     #[must_use]
     pub fn after_id(mut self, id: u64) -> Self {
@@ -290,8 +281,8 @@ impl<S: JobSink> ReadyJob<S> {
     }
 
     /// Submits the job to the sink and returns its receipt: a
-    /// [`JobHandle`](crate::JobHandle) from a [`Session`], the job id
-    /// from a [`JobQueue`].
+    /// [`JobHandle`] from a [`Session`], the job id from a
+    /// [`JobQueue`].
     pub fn submit(self) -> S::Receipt {
         self.sink
             .accept(self.label, self.kind, self.opts, self.deps)

@@ -420,7 +420,9 @@ proptest! {
     /// per-job outputs stay bit-identical, external traffic volumes
     /// stay equal, cycles never shrink, and the contended farm's
     /// continuous/barriered differential continues to hold (the
-    /// throttled burst fast path is exercised on both drives).
+    /// throttled burst fast path is exercised on both drives). The
+    /// shared cube is a 1-cube mesh: every cluster is local to it, so
+    /// no traffic is ever attributed to a serial link.
     #[test]
     fn shared_hmc_contention_changes_timing_not_data(
         (kinds, clusters) in (prop::collection::vec(arb_kind(), 1..5), 2usize..6)
@@ -431,8 +433,9 @@ proptest! {
         // Identical full-width placement in both memory models, so the
         // timing comparison is apples to apples.
         let base = ScaleOutConfig::with_clusters(clusters);
+        let shared = base.with_hmc_mesh(MeshConfig::default().with_cubes(1).with_cube(hmc));
         let ri = full_width(&kinds, base);
-        let rc = full_width(&kinds, base.with_shared_hmc(hmc));
+        let rc = full_width(&kinds, shared);
         for (i, c) in ri.iter().zip(&rc) {
             assert_bits_eq(&i.output, &c.output, "contended vs ideal output");
             assert!(
@@ -444,7 +447,6 @@ proptest! {
         // The contended farm keeps its own differential: space-shared
         // continuous execution vs the barriered same-placement
         // reference, both under the shared HMC.
-        let shared = base.with_shared_hmc(hmc);
         let run = drive(&kinds, shared, 0);
         let oracle = replay_barriered(&kinds, &run.placements, shared);
         for (c, o) in run.results.iter().zip(&oracle.results) {
@@ -460,6 +462,11 @@ proptest! {
         // ideal full-width execution bit for bit.
         for (c, ideal) in run.results.iter().zip(&ri) {
             assert_bits_eq(&c.output, &ideal.output, "contended space-shared vs ideal");
+        }
+        // One cube: no remote traffic on any drive.
+        for p in rc.iter().chain(&run.results).flat_map(|r| r.report.per_cluster.iter()) {
+            assert_eq!(p.ext_remote_bytes, 0, "no remote traffic on one cube");
+            assert_eq!(p.ext_remote_wait_cycles, 0);
         }
     }
 }
@@ -537,8 +544,8 @@ proptest! {
     /// and the fault counters must all equal the serial farm's — under
     /// mid-shard cluster kills (speculated shards on the dead cluster
     /// are invalidated and re-run on survivors) and transient stalls,
-    /// with shared-HMC and 2-cube-mesh ports travelling to the worker
-    /// threads.
+    /// with 1-cube (shared HMC) and 2-cube mesh ports travelling to
+    /// the worker threads.
     #[test]
     fn pooled_farm_is_bit_identical_to_serial(
         (kinds, clusters, steps_between, threads, mem_sel, seed, kill_cluster, kill_cycle) in (
@@ -560,7 +567,7 @@ proptest! {
         let base = ScaleOutConfig::with_clusters(clusters).with_faults(plan);
         let base = match mem_sel {
             0 => base,
-            1 => base.with_shared_hmc(hmc),
+            1 => base.with_hmc_mesh(MeshConfig::default().with_cubes(1).with_cube(hmc)),
             _ => base.with_hmc_mesh(MeshConfig::default().with_cubes(2).with_cube(hmc)),
         };
         let serial = drive(&kinds, base.with_worker_threads(1), steps_between);
@@ -659,39 +666,6 @@ fn late_small_job_overtakes_inflight_wave() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Mesh degeneracy: a 1-cube [`MeshConfig`] is the *same machine*
-    /// as the PR 5 shared-HMC subsystem — every cluster is local to the
-    /// only cube, so ports, grants, outputs, per-job `PerfSnapshot`s
-    /// (including the new remote counters, which must stay zero) and
-    /// makespans are bit-identical, not merely close. Run under a
-    /// tight 64-bit LoB so the schedule actually throttles.
-    #[test]
-    fn one_cube_mesh_degenerates_to_shared_hmc(
-        (kinds, clusters) in (prop::collection::vec(arb_kind(), 1..5), 2usize..6)
-    ) {
-        let hmc = HmcConfig::default().with_interconnect_bits(64);
-        let mesh = MeshConfig::default().with_cubes(1).with_cube(hmc);
-        let base = ScaleOutConfig::with_clusters(clusters);
-        let mut shared = ScaleOutExecutor::new(base.with_shared_hmc(hmc));
-        let mut meshed = ScaleOutExecutor::new(base.with_hmc_mesh(mesh));
-        let rs = shared.run_queue(&mut fill(&kinds)).expect("shared batch");
-        let rm = meshed.run_queue(&mut fill(&kinds)).expect("mesh batch");
-        for (s, m) in rs.results.iter().zip(&rm.results) {
-            assert_bits_eq(&s.output, &m.output, "1-cube mesh vs shared HMC output");
-            assert_eq!(
-                s.report.per_cluster, m.report.per_cluster,
-                "per-job PerfSnapshots must be bit-identical on a 1-cube mesh"
-            );
-            assert_eq!(s.report.makespan_cycles, m.report.makespan_cycles);
-            assert_eq!((s.start_cycle, s.finish_cycle), (m.start_cycle, m.finish_cycle));
-            for p in m.report.per_cluster.iter() {
-                assert_eq!(p.ext_remote_bytes, 0, "no remote traffic on one cube");
-                assert_eq!(p.ext_remote_wait_cycles, 0);
-            }
-        }
-        assert_eq!(rs.report.makespan_cycles, rm.report.makespan_cycles);
-    }
 
     /// Placement is a timing policy, not a data policy: running the
     /// same mix on the same mesh with data-affine placement versus

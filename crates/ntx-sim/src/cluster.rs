@@ -404,7 +404,7 @@ impl Cluster {
     /// * one engine, DMA idle → [`NtxEngine::burst_sole`] (batched
     ///   conflict-free MAC streaks, per-cycle fallback otherwise);
     /// * DMA only → [`ntx_mem::DmaEngine::burst_sole`] (whole-row
-    ///   slices);
+    ///   slices, clipped at granted slot runs under a binding port);
     /// * multiple masters → allocation-free cycles on the mask arbiter
     ///   ([`Interconnect::request`]/[`Interconnect::resolve`]): each
     ///   request sets its master's bit in its bank's mask, each bank's
@@ -450,38 +450,24 @@ impl Cluster {
                 out.cycles
             }
             (0, true) => {
-                // A shared-HMC port that can actually bind routes to
-                // the contended-aware burst (whole-row slices clipped
-                // at granted slot runs); otherwise the schedule is
-                // indistinguishable from the ideal memory and the
-                // plain burst applies.
-                let throttled = self.config.ext_port.filter(|p| {
+                // A port that can actually bind clips the row slices at
+                // granted slot runs; otherwise the schedule is
+                // indistinguishable from the ideal memory.
+                let port = self.config.ext_port.filter(|p| {
                     p.throttles() || p.words_per_cycle() < self.config.dma_words_per_cycle
                 });
-                if let Some(port) = throttled {
-                    let b = self.dma.burst_sole_throttled(
-                        &mut self.tcdm,
-                        &mut self.ext,
-                        &mut self.interconnect,
-                        port,
-                        self.cycle,
-                        max_cycles,
-                    );
-                    self.cycle += b.cycles;
-                    self.busy_cycles += b.active_cycles;
-                    self.ext_wait_cycles += b.cycles - b.active_cycles;
-                    b.cycles
-                } else {
-                    let cycles = self.dma.burst_sole(
-                        &mut self.tcdm,
-                        &mut self.ext,
-                        &mut self.interconnect,
-                        max_cycles,
-                    );
-                    self.cycle += cycles;
-                    self.busy_cycles += cycles;
-                    cycles
-                }
+                let b = self.dma.burst_sole(
+                    &mut self.tcdm,
+                    &mut self.ext,
+                    &mut self.interconnect,
+                    port,
+                    self.cycle,
+                    max_cycles,
+                );
+                self.cycle += b.cycles;
+                self.busy_cycles += b.active_cycles;
+                self.ext_wait_cycles += b.cycles - b.active_cycles;
+                b.cycles
             }
             _ => self.run_contended(max_cycles, dma_active),
         }
@@ -675,13 +661,6 @@ impl Cluster {
     /// data and reading back results).
     pub fn ext_mem(&mut self) -> &mut ExtMemory {
         &mut self.ext
-    }
-
-    /// Replaces the external memory behind the AXI port — how a
-    /// cluster farm installs the backing store its shared
-    /// [`ntx_mem::HmcSubsystem`] owns for this cluster's port.
-    pub fn install_ext(&mut self, mem: ExtMemory) {
-        self.ext = mem;
     }
 
     // --- measurement ---
