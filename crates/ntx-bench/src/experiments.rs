@@ -588,7 +588,10 @@ fn drive_farm(
     };
     for (i, (label, kind)) in jobs.iter().enumerate() {
         let job = Job::new(i as u64, label.clone(), kind.clone());
-        placements.push(sim.admit_continuous(&job, &table).expect("admit"));
+        placements.push(
+            sim.admit_continuous_within(&job, &table, None)
+                .expect("admit"),
+        );
         for _ in 0..steps_between {
             step(&mut sim, &mut table);
         }
@@ -602,8 +605,8 @@ fn drive_farm(
             .collect(),
         placements,
         trace,
-        makespan: sim.farm_makespan(),
-        totals: sim.perf_totals(),
+        makespan: sim.farm().makespan(),
+        totals: sim.farm().perf_totals(),
         wall_s,
     }
 }
@@ -968,13 +971,14 @@ fn placed_single_shard_run(
         let (cluster, home_cube) = place(i);
         let mut job = Job::new(i as u64, format!("job-{i}"), kind.clone());
         job.opts.home_cube = home_cube;
+        let checked = job.validate().expect("a valid streaming job");
         let mut plans = Tiler::new(1)
-            .plan(&job, farm.reference_cluster())
+            .plan_checked(&job, checked, farm.reference_cluster())
             .expect("single-shard streaming job");
         let plan = plans.pop().expect("one plan per shard");
         // Pre-placed: the placement estimates have nothing to steer.
         let placed = PlacedJob {
-            meta: JobMeta::of(&job),
+            meta: JobMeta::of(&job, checked),
             shards: vec![(cluster, plan)],
         };
         farm.admit(placed, 0, 0);
@@ -1431,7 +1435,9 @@ mod tests {
         let cold = DurationTable::new();
         for (i, ((label, kind), answer)) in jobs.iter().zip(&answers.results).enumerate() {
             let job = Job::new(i as u64, label.clone(), kind.clone());
-            let placement = sim.admit_continuous(&job, &cold).expect("admit");
+            let placement = sim
+                .admit_continuous_within(&job, &cold, None)
+                .expect("admit");
             let estimate = answer.estimate.expect("estimate per job");
             assert_eq!(estimate.shards, placement.planned_shards, "{label}");
         }
@@ -1956,7 +1962,9 @@ fn run_chaos_open_loop(
     loop {
         // Admit everything that has arrived by virtual now; when the
         // farm is idle, virtual time jumps to the next arrival.
-        while next < jobs.len() && (arrivals[next] <= sim.virtual_now() || !sim.has_farm_work()) {
+        while next < jobs.len()
+            && (arrivals[next] <= sim.virtual_now() || !sim.farm().has_pending())
+        {
             let (label, kind) = &jobs[next];
             let job = Job::new(next as u64, label.clone(), kind.clone());
             admitted_at[next] = sim.virtual_now();
@@ -2003,7 +2011,7 @@ fn run_chaos_open_loop(
             latencies[rank.min(latencies.len()) - 1]
         }
     };
-    let totals = sim.perf_totals();
+    let totals = sim.farm().perf_totals();
     ChaosRunOutcome {
         stats: ChaosRunStats {
             offered: jobs.len() as u64,
@@ -2013,10 +2021,10 @@ fn run_chaos_open_loop(
             p50_cycles: pct(0.50),
             p99_cycles: pct(0.99),
             p999_cycles: pct(0.999),
-            makespan_cycles: sim.farm_makespan(),
+            makespan_cycles: sim.farm().makespan(),
         },
         outputs,
-        faults: sim.fault_stats(),
+        faults: sim.farm().fault_stats(),
         fault_stall_cycles: totals.fault_stall_cycles,
     }
 }

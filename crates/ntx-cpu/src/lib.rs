@@ -38,7 +38,7 @@
 //!
 //! This crate is deliberately scheduler-agnostic — it depends only on
 //! the kernel descriptors and the FPU model. `ntx-sched` wraps it as
-//! its `NativeHost` backend and dispatches per-job via
+//! its two native backends, selected per job by
 //! `BackendKind::{NativeFast, NativeExact}`.
 
 #![forbid(unsafe_code)]

@@ -247,12 +247,6 @@ impl HmcPort {
         self
     }
 
-    /// Index of this port within the subsystem.
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
     /// The port's own AXI width (words per cycle) — the hard cap on
     /// any single-cycle grant.
     #[must_use]
@@ -283,7 +277,6 @@ impl HmcPort {
 /// ```
 #[derive(Debug)]
 pub struct HmcSubsystem {
-    config: HmcConfig,
     pub(crate) ports: u32,
     pub(crate) port_words_per_cycle: u32,
     pub(crate) budget_q16: u64,
@@ -311,23 +304,10 @@ impl HmcSubsystem {
         let budget_q16 = (words_per_cycle * f64::from(1u32 << SLOT_FP_BITS)).round() as u64;
         assert!(budget_q16 > 0, "shared budget rounds to zero words/cycle");
         Self {
-            config,
             ports,
             port_words_per_cycle,
             budget_q16,
         }
-    }
-
-    /// The cube organisation the budget was derived from.
-    #[must_use]
-    pub fn config(&self) -> &HmcConfig {
-        &self.config
-    }
-
-    /// Number of attached ports.
-    #[must_use]
-    pub fn ports(&self) -> u32 {
-        self.ports
     }
 
     /// The shared slot budget, words per NTX cycle (Q16-rounded).

@@ -192,24 +192,6 @@ impl HmcMesh {
         }
     }
 
-    /// The mesh organisation.
-    #[must_use]
-    pub fn config(&self) -> &MeshConfig {
-        &self.config
-    }
-
-    /// Number of attached clusters across the whole mesh.
-    #[must_use]
-    pub fn clusters(&self) -> u32 {
-        self.clusters
-    }
-
-    /// Number of cubes.
-    #[must_use]
-    pub fn cubes(&self) -> u32 {
-        self.config.cubes
-    }
-
     /// The cube cluster `cluster` is physically attached to (block
     /// partition in index order).
     ///
@@ -293,12 +275,6 @@ impl HmcMesh {
             budget_q16,
             degrade: None,
         }
-    }
-
-    /// Shared slot budget of one cube, words per NTX cycle.
-    #[must_use]
-    pub fn shared_words_per_cycle(&self) -> f64 {
-        self.cubes[0].shared_words_per_cycle()
     }
 
     /// Slot budget of one serial link, words per NTX cycle.

@@ -3,22 +3,25 @@
 //! Each job's [`JobOpts::backend`](crate::JobOpts) picks who answers
 //! it; the [`ScaleOutExecutor`](crate::ScaleOutExecutor) owns one of
 //! each and admits every job through the same two steps — a fallible
-//! plan (validate, size, tile) that commits nothing, then a commit:
+//! plan (size, tile) that commits nothing, then a commit. The job was
+//! checked once where it entered ([`Job::validate`]); every step here
+//! takes the [`Checked`] value that check returned instead of checking
+//! again.
 //!
 //! * [`SimulatorBackend`] — the bit-accurate path: jobs are tiled by
 //!   the [`Tiler`] into graded cluster subsets, placed on the
 //!   least-loaded clusters of the running [`ClusterFarm`], and
 //!   executed through the cycle simulator's burst API.
-//! * [`AnalyticalBackend`] — the instant path: jobs are answered from
-//!   `ntx-model`'s roofline estimates without spending a single
-//!   simulator cycle, sized by the same shard-count rule the farm
-//!   places with.
-//! * [`NativeHost`] — the wire-speed path: jobs execute on the host
-//!   CPU through [`ntx_cpu::NativeBackend`], either with the fast
-//!   multi-accumulator reduction ([`BackendKind::NativeFast`]) or
-//!   bit-identical to the simulator with one rounding of each exact
-//!   sum ([`BackendKind::NativeExact`]). Admission estimates
-//!   come from the same roofline, calibrated by a private
+//! * The estimate backend ([`BackendKind::Estimate`]) — the instant
+//!   path: jobs are answered from `ntx-model`'s roofline estimates
+//!   without spending a single simulator cycle, sized by the same
+//!   shard-count rule the farm places with.
+//! * The native backends ([`BackendKind::NativeFast`],
+//!   [`BackendKind::NativeExact`]) — the wire-speed path: jobs execute
+//!   on the host CPU through [`ntx_cpu::NativeBackend`], either with
+//!   the fast multi-accumulator reduction or bit-identical to the
+//!   simulator with one rounding of each exact sum. Admission
+//!   estimates come from the same roofline, calibrated by a private
 //!   [`DurationTable`] EWMA of measured wall-clock durations.
 
 use ntx_mem::MemoryModel;
@@ -26,7 +29,7 @@ use ntx_model::roofline::Roofline;
 
 use crate::executor::{JobResult, ScaleOutConfig};
 use crate::farm::{ClusterFarm, JobMeta, PlacedJob, ShardRetire};
-use crate::job::{Job, JobClass, JobKind};
+use crate::job::{Checked, Job, JobClass, JobKind};
 use crate::report::ScaleOutReport;
 use crate::tiler::{ClusterPlan, Tiler};
 use crate::SchedError;
@@ -73,9 +76,10 @@ pub struct JobEstimate {
     pub compute_bound: bool,
 }
 
-/// Roofline estimate for `job` sharded `shards` ways.
-fn estimate_for(job: &Job, shards: usize, roofline: &Roofline, freq_hz: f64) -> JobEstimate {
-    let cost = job.cost();
+/// Roofline estimate for a job of cost `checked.cost()` sharded
+/// `shards` ways.
+fn estimate_for(checked: Checked, shards: usize, roofline: &Roofline, freq_hz: f64) -> JobEstimate {
+    let cost = checked.cost();
     let s = shards.max(1) as u64;
     let flops_per = cost.flops.div_ceil(s);
     let bytes_per = cost.min_ext_bytes.div_ceil(s);
@@ -124,12 +128,13 @@ const TARGET_SHARD_CYCLES: u64 = 4096;
 /// class correction `table` has learned, graded over `1..=clusters`.
 fn graded_shards(
     job: &Job,
+    checked: Checked,
     table: &DurationTable,
     roofline: &Roofline,
     freq_hz: f64,
     clusters: usize,
 ) -> usize {
-    let est1 = estimate_for(job, 1, roofline, freq_hz);
+    let est1 = estimate_for(checked, 1, roofline, freq_hz);
     table
         .corrected_cycles(job.kind.class(), est1.cycles)
         .div_ceil(TARGET_SHARD_CYCLES)
@@ -240,8 +245,9 @@ impl Placement {
     ///
     /// # Errors
     ///
-    /// Propagates tiler errors (impossible for a job that was already
-    /// admitted once against the same configuration).
+    /// Propagates [`Job::validate`] and tiler errors (impossible for a
+    /// job that was already admitted once against the same
+    /// configuration).
     ///
     /// # Panics
     ///
@@ -249,7 +255,8 @@ impl Placement {
     /// than was recorded — the replay would no longer be the same
     /// placement.
     pub fn replay(&self, job: &Job, reference: &ntx_sim::Cluster) -> Result<PlacedJob, SchedError> {
-        let plans = Tiler::new(self.planned_shards).plan(job, reference)?;
+        let checked = job.validate()?;
+        let plans = Tiler::new(self.planned_shards).plan_checked(job, checked, reference)?;
         let nonempty: Vec<ClusterPlan> = plans.into_iter().filter(|p| !p.is_empty()).collect();
         assert_eq!(
             nonempty.len(),
@@ -257,14 +264,14 @@ impl Placement {
             "replay must reproduce the recorded shard count"
         );
         Ok(PlacedJob {
-            meta: JobMeta::of(job),
+            meta: JobMeta::of(job, checked),
             shards: self.clusters.iter().copied().zip(nonempty).collect(),
         })
     }
 }
 
-/// The fallible half of a farm admission: the job validated, sized and
-/// tiled, with its placement estimates. Everything but the choice of
+/// The fallible half of a farm admission: the job sized and tiled,
+/// with its placement estimates. Everything but the choice of
 /// clusters, which depends on the loads the previous commit left —
 /// so a caller can plan a whole batch before placing any of it.
 #[derive(Debug)]
@@ -303,11 +310,12 @@ impl SimulatorBackend {
     fn tile_with_retry(
         &self,
         job: &Job,
+        checked: Checked,
         mut shards: usize,
     ) -> Result<(Vec<ClusterPlan>, usize), SchedError> {
         let n = self.config.clusters;
         loop {
-            match Tiler::new(shards).plan(job, self.farm.reference_cluster()) {
+            match Tiler::new(shards).plan_checked(job, checked, self.farm.reference_cluster()) {
                 Ok(plans) => return Ok((plans, shards)),
                 // A shard that cannot fit the TCDM may fit when split
                 // finer; retry wider until the farm width is exhausted.
@@ -317,46 +325,36 @@ impl SimulatorBackend {
         }
     }
 
-    /// Admits `job` into the *running* farm: sizes a **graded** shard
-    /// count from the measured-duration table — corrected cycles per
-    /// 4096-cycle shard, any value in `1..=live clusters` — and assigns
-    /// the shards to the least-loaded clusters right now. The job
-    /// starts the moment those clusters free up; no wave boundary is
-    /// involved. Returns the placement so callers can log it or replay
-    /// it into the barriered oracle.
+    /// Checks `job` and admits it into the *running* farm: sizes a
+    /// **graded** shard count from the measured-duration table —
+    /// corrected cycles per 4096-cycle shard, any value in
+    /// `1..=live clusters` — and assigns the shards to the
+    /// least-loaded clusters right now. The job starts the moment
+    /// those clusters free up; no wave boundary is involved. Returns
+    /// the placement so callers can log it or replay it into the
+    /// barriered oracle.
     ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shape`] for inconsistent jobs,
-    /// [`SchedError::Capacity`] when no feasible sharding exists.
-    pub fn admit_continuous(
-        &mut self,
-        job: &Job,
-        table: &DurationTable,
-    ) -> Result<Placement, SchedError> {
-        self.admit_continuous_within(job, table, None)
-    }
-
-    /// [`admit_continuous`](Self::admit_continuous) with deadline
-    /// shedding: the job is **rejected without touching the farm**
-    /// when its estimated completion — the load of the busiest chosen
-    /// cluster plus the shard estimate, measured from the farm's
-    /// [`virtual_now`](ClusterFarm::virtual_now) — already proves a
-    /// virtual-cycle deadline unmeetable. `None` admits
+    /// With `deadline_cycles` the job is **rejected without touching
+    /// the farm** when its estimated completion — the load of the
+    /// busiest chosen cluster plus the shard estimate, measured from
+    /// the farm's [`virtual_now`](ClusterFarm::virtual_now) — already
+    /// proves that virtual-cycle deadline unmeetable. `None` admits
     /// unconditionally.
     ///
     /// # Errors
     ///
-    /// [`SchedError::DeadlineUnmeetable`] for shed jobs, plus every
-    /// [`admit_continuous`](Self::admit_continuous) error.
+    /// Every [`Job::validate`] error, [`SchedError::Capacity`] when no
+    /// feasible sharding exists, and [`SchedError::DeadlineUnmeetable`]
+    /// for shed jobs.
     pub fn admit_continuous_within(
         &mut self,
         job: &Job,
         table: &DurationTable,
         deadline_cycles: Option<u64>,
     ) -> Result<Placement, SchedError> {
-        let tiled = self.plan(job, table)?;
-        self.place(job, tiled, deadline_cycles)
+        let checked = job.validate()?;
+        let tiled = self.plan(job, checked, table)?;
+        self.place(job, checked, tiled, deadline_cycles)
     }
 
     /// How many clusters can take new work: dead clusters take none,
@@ -374,16 +372,20 @@ impl SimulatorBackend {
         }
     }
 
-    /// The fallible half of admission: validates `job`, sizes its
-    /// graded shard count over the live clusters and tiles it.
-    /// Read-only on the farm.
-    pub(crate) fn plan(&self, job: &Job, table: &DurationTable) -> Result<TiledJob, SchedError> {
-        job.validate()?;
+    /// The fallible half of admission: sizes the checked `job`'s graded
+    /// shard count over the live clusters and tiles it. Read-only on
+    /// the farm.
+    pub(crate) fn plan(
+        &self,
+        job: &Job,
+        checked: Checked,
+        table: &DurationTable,
+    ) -> Result<TiledJob, SchedError> {
         let alive = self.live_count()?;
         let freq = self.config.cluster.ntx_freq_hz;
-        let want = graded_shards(job, table, &self.roofline, freq, alive);
-        let (plans, planned_shards) = self.tile_with_retry(job, want)?;
-        let per_shard = estimate_for(job, planned_shards, &self.roofline, freq).cycles;
+        let want = graded_shards(job, checked, table, &self.roofline, freq, alive);
+        let (plans, planned_shards) = self.tile_with_retry(job, checked, want)?;
+        let per_shard = estimate_for(checked, planned_shards, &self.roofline, freq).cycles;
         Ok(TiledJob {
             nonempty: plans.into_iter().filter(|p| !p.is_empty()).collect(),
             hint: table.corrected_cycles(job.kind.class(), per_shard),
@@ -399,6 +401,7 @@ impl SimulatorBackend {
     pub(crate) fn place(
         &mut self,
         job: &Job,
+        checked: Checked,
         tiled: TiledJob,
         deadline_cycles: Option<u64>,
     ) -> Result<Placement, SchedError> {
@@ -433,7 +436,7 @@ impl SimulatorBackend {
         }
         self.farm.admit(
             PlacedJob {
-                meta: JobMeta::of(job),
+                meta: JobMeta::of(job, checked),
                 shards: chosen.iter().copied().zip(tiled.nonempty).collect(),
             },
             tiled.hint,
@@ -480,8 +483,16 @@ impl SimulatorBackend {
     /// [`ScaleOutExecutor::run_job`](crate::ScaleOutExecutor::run_job).
     /// Its shards carry no estimate, so their retires teach the
     /// duration table nothing.
-    pub(crate) fn place_full_width(&mut self, job: &Job) -> Result<(), SchedError> {
-        let plans = Tiler::new(self.live_count()?).plan(job, self.farm.reference_cluster())?;
+    pub(crate) fn place_full_width(
+        &mut self,
+        job: &Job,
+        checked: Checked,
+    ) -> Result<(), SchedError> {
+        let plans = Tiler::new(self.live_count()?).plan_checked(
+            job,
+            checked,
+            self.farm.reference_cluster(),
+        )?;
         let shards = (0..self.config.clusters)
             .filter(|&c| self.farm.is_alive(c))
             .zip(plans)
@@ -489,7 +500,7 @@ impl SimulatorBackend {
             .collect();
         self.farm.admit(
             PlacedJob {
-                meta: JobMeta::of(job),
+                meta: JobMeta::of(job, checked),
                 shards,
             },
             0,
@@ -511,26 +522,6 @@ impl SimulatorBackend {
         self.farm.take_lost()
     }
 
-    /// True when continuously-admitted shards are still queued.
-    #[must_use]
-    pub fn has_farm_work(&self) -> bool {
-        self.farm.has_pending()
-    }
-
-    /// Virtual makespan of the continuous farm (latest cluster clock).
-    #[must_use]
-    pub fn farm_makespan(&self) -> u64 {
-        self.farm.makespan()
-    }
-
-    /// Farm-lifetime counter totals over every retired shard (see
-    /// [`ClusterFarm::perf_totals`]) — the serving layer reads the
-    /// external-memory wait and remote-traffic figures from here.
-    #[must_use]
-    pub fn perf_totals(&self) -> ntx_sim::PerfSnapshot {
-        self.farm.perf_totals()
-    }
-
     /// The farm's virtual "now" (earliest live-cluster clock; see
     /// [`ClusterFarm::virtual_now`]) — the reference point of
     /// virtual-cycle deadlines.
@@ -539,29 +530,17 @@ impl SimulatorBackend {
         self.farm.virtual_now()
     }
 
-    /// Worker-pool counters of the farm (see [`ClusterFarm::pool_stats`]).
+    /// The running farm: pending work, makespan, counter totals, pool
+    /// and fault statistics.
     #[must_use]
-    pub fn pool_stats(&self) -> crate::farm::PoolStats {
-        self.farm.pool_stats()
-    }
-
-    /// Fault-recovery counters of the farm (see
-    /// [`ClusterFarm::fault_stats`]).
-    #[must_use]
-    pub fn fault_stats(&self) -> crate::farm::FaultStats {
-        self.farm.fault_stats()
-    }
-
-    /// Number of live clusters (see [`ClusterFarm::num_alive`]).
-    #[must_use]
-    pub fn num_alive(&self) -> usize {
-        self.farm.num_alive()
+    pub fn farm(&self) -> &ClusterFarm {
+        &self.farm
     }
 }
 
-/// The instant backend: answers from the roofline model.
+/// The estimate backend: answers from the roofline model.
 #[derive(Debug)]
-pub struct AnalyticalBackend {
+pub(crate) struct AnalyticalBackend {
     clusters: usize,
     freq_hz: f64,
     roofline: Roofline,
@@ -569,8 +548,7 @@ pub struct AnalyticalBackend {
 
 impl AnalyticalBackend {
     /// A model of the same system `config` describes.
-    #[must_use]
-    pub fn new(config: &ScaleOutConfig) -> Self {
+    pub(crate) fn new(config: &ScaleOutConfig) -> Self {
         Self {
             clusters: config.clusters,
             freq_hz: config.cluster.ntx_freq_hz,
@@ -578,22 +556,24 @@ impl AnalyticalBackend {
         }
     }
 
-    /// Answers `job` from the roofline model, sharded as the farm
-    /// would place it on idle clusters with a cold duration table
-    /// (correction 1.0). Spends no simulator cycle: the result carries
-    /// the estimate and no output data.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shape`] for inconsistent jobs.
-    pub fn run(&self, job: &Job) -> Result<JobResult, SchedError> {
-        job.validate()?;
+    /// Answers the checked `job` from the roofline model, sharded as
+    /// the farm would place it on idle clusters with a cold duration
+    /// table (correction 1.0). Spends no simulator cycle: the result
+    /// carries the estimate and no output data.
+    pub(crate) fn run(&self, job: &Job, checked: Checked) -> JobResult {
         let cold = DurationTable::new();
-        let shards = graded_shards(job, &cold, &self.roofline, self.freq_hz, self.clusters);
-        let est = estimate_for(job, shards, &self.roofline, self.freq_hz);
+        let shards = graded_shards(
+            job,
+            checked,
+            &cold,
+            &self.roofline,
+            self.freq_hz,
+            self.clusters,
+        );
+        let est = estimate_for(checked, shards, &self.roofline, self.freq_hz);
         let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
         report.makespan_cycles = est.cycles;
-        Ok(JobResult {
+        JobResult {
             job_id: job.id,
             label: job.label.clone(),
             output: Vec::new(),
@@ -602,14 +582,14 @@ impl AnalyticalBackend {
             finish_cycle: est.cycles,
             estimate: Some(est),
             backend: BackendKind::Estimate,
-        })
+        }
     }
 }
 
-/// The wire-speed backend: executes jobs directly on the host CPU
-/// through [`ntx_cpu::NativeBackend`], sharded over the same worker
-/// threads the farm's pool uses
-/// ([`ScaleOutConfig::with_worker_threads`] / `NTX_WORKER_THREADS`).
+/// A native backend: executes jobs directly on the host CPU through
+/// [`ntx_cpu::NativeBackend`], sharded over the same worker threads
+/// the farm's pool uses ([`ScaleOutConfig::with_worker_threads`] /
+/// `NTX_WORKER_THREADS`).
 ///
 /// Admission estimates start from the same roofline as the other
 /// backends and are calibrated by a **private** [`DurationTable`]:
@@ -622,10 +602,11 @@ impl AnalyticalBackend {
 /// machines.
 ///
 /// Exact mode ([`BackendKind::NativeExact`]) produces outputs
-/// bit-identical to [`SimulatorBackend`] on every job kind; raw
-/// command-stream jobs have no native lowering and are rejected.
+/// bit-identical to [`SimulatorBackend`] on every job kind. Raw
+/// command-stream jobs have no native lowering; the executor rejects
+/// them before they reach this backend.
 #[derive(Debug)]
-pub struct NativeHost {
+pub(crate) struct NativeHost {
     engine: ntx_cpu::NativeBackend,
     kind: BackendKind,
     clusters: usize,
@@ -636,14 +617,12 @@ pub struct NativeHost {
 
 impl NativeHost {
     /// A fast-mode host backend for the system `config` describes.
-    #[must_use]
-    pub fn fast(config: &ScaleOutConfig) -> Self {
+    pub(crate) fn fast(config: &ScaleOutConfig) -> Self {
         Self::new(config, ntx_cpu::NativeMode::Fast, BackendKind::NativeFast)
     }
 
     /// An exact-mode (bit-identical) host backend for `config`.
-    #[must_use]
-    pub fn exact(config: &ScaleOutConfig) -> Self {
+    pub(crate) fn exact(config: &ScaleOutConfig) -> Self {
         Self::new(config, ntx_cpu::NativeMode::Exact, BackendKind::NativeExact)
     }
 
@@ -659,48 +638,18 @@ impl NativeHost {
         }
     }
 
-    /// The wall-clock calibration table (introspection).
-    #[must_use]
-    pub fn table(&self) -> &DurationTable {
-        &self.table
-    }
-
-    /// Admission check of the native backends: `job` must be valid
-    /// and have a native lowering.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shape`] for inconsistent jobs and for raw NTX
-    /// command streams.
-    pub(crate) fn check(job: &Job) -> Result<(), SchedError> {
-        job.validate()?;
-        if matches!(job.kind, JobKind::Raw(_)) {
-            return Err(SchedError::Shape(
-                "raw NTX command streams have no native lowering; \
-                 submit them with BackendKind::Simulate"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Executes `job` on the host CPU. The measured wall-clock
-    /// duration becomes the result's makespan (in NTX cycles at the
-    /// cluster clock) and is folded into the calibration EWMA against
-    /// the **raw** roofline estimate — same discipline as the farm's
-    /// placement feedback. The result carries the estimate admission
-    /// predicted: the unsharded roofline (the backend runs each job as
-    /// one unit; threading is internal) bent by the learned wall-clock
-    /// ratio of the job's class.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Shape`] for inconsistent jobs and for raw NTX
-    /// command streams, which have no native lowering.
-    pub fn run(&mut self, job: &Job) -> Result<JobResult, SchedError> {
-        Self::check(job)?;
+    /// Executes the checked `job`, which must not be raw, on the host
+    /// CPU. The measured wall-clock duration becomes the result's
+    /// makespan (in NTX cycles at the cluster clock) and is folded
+    /// into the calibration EWMA against the **raw** roofline estimate
+    /// — same discipline as the farm's placement feedback. The result
+    /// carries the estimate admission predicted: the unsharded
+    /// roofline (the backend runs each job as one unit; threading is
+    /// internal) bent by the learned wall-clock ratio of the job's
+    /// class.
+    pub(crate) fn run(&mut self, job: &Job, checked: Checked) -> JobResult {
         let class = job.kind.class();
-        let raw = estimate_for(job, 1, &self.roofline, self.freq_hz);
+        let raw = estimate_for(checked, 1, &self.roofline, self.freq_hz);
         let cycles = self.table.corrected_cycles(class, raw.cycles);
         let est = JobEstimate {
             cycles,
@@ -714,7 +663,7 @@ impl NativeHost {
         self.table.observe(class, raw.cycles, measured);
         let mut report = ScaleOutReport::new(self.clusters, self.freq_hz);
         report.makespan_cycles = measured;
-        Ok(JobResult {
+        JobResult {
             job_id: job.id,
             label: job.label.clone(),
             output,
@@ -723,7 +672,7 @@ impl NativeHost {
             finish_cycle: measured,
             estimate: Some(est),
             backend: self.kind,
-        })
+        }
     }
 
     fn execute(&self, job: &Job) -> Vec<f32> {
@@ -742,7 +691,7 @@ impl NativeHost {
             } => self
                 .engine
                 .stencil2d(*height as usize, *width as usize, grid),
-            JobKind::Raw(_) => unreachable!("check rejects raw jobs"),
+            JobKind::Raw(_) => unreachable!("the executor rejects raw jobs on native backends"),
         }
     }
 }
@@ -769,7 +718,7 @@ mod tests {
         let config = ScaleOutConfig::with_clusters(4);
         let model = AnalyticalBackend::new(&config);
         let job = axpy_job(4096);
-        let answer = model.run(&job).expect("valid job");
+        let answer = model.run(&job, job.validate().expect("valid job"));
         let est = answer
             .estimate
             .expect("analytical answers carry the estimate");
@@ -786,7 +735,14 @@ mod tests {
     fn small_jobs_get_few_shards_large_jobs_get_many() {
         let config = ScaleOutConfig::with_clusters(8);
         let model = AnalyticalBackend::new(&config);
-        let shards = |n| model.run(&axpy_job(n)).unwrap().estimate.unwrap().shards;
+        let shards = |n| {
+            let job = axpy_job(n);
+            model
+                .run(&job, job.validate().unwrap())
+                .estimate
+                .unwrap()
+                .shards
+        };
         assert_eq!(shards(64), 1);
         assert_eq!(shards(1 << 20), 8);
         // Graded, not snapped: a mid-size job spans a mid-size subset.
@@ -814,7 +770,9 @@ mod tests {
         let mut sim = SimulatorBackend::new(ScaleOutConfig::with_clusters(2));
         let mut table = DurationTable::new();
         table.observe(JobClass::Axpy, 1000, 2000); // correction 2.0
-        let placement = sim.admit_continuous(&axpy_job(512), &table).expect("admit");
+        let placement = sim
+            .admit_continuous_within(&axpy_job(512), &table, None)
+            .expect("admit");
         let retire = sim.step_farm().expect("one shard queued");
         assert_eq!(
             placement.shard_cycles,
@@ -846,7 +804,7 @@ mod tests {
             },
         );
         let tiled = sim
-            .plan(&job, &DurationTable::new())
+            .plan(&job, job.validate().unwrap(), &DurationTable::new())
             .expect("streams when oversized");
         assert_eq!(tiled.planned_shards, 1, "no widening needed");
         assert_eq!(tiled.nonempty.len(), 1);

@@ -3,12 +3,13 @@
 //!
 //! [`ScaleOutExecutor`] owns the four backends — a [`SimulatorBackend`]
 //! (the tiler, graded placement and the
-//! [`ClusterFarm`](crate::ClusterFarm)), an [`AnalyticalBackend`]
-//! (roofline estimates) and a pair of [`NativeHost`]s (wire-speed
+//! [`ClusterFarm`](crate::ClusterFarm)), the estimate backend
+//! (roofline estimates) and the two native backends (wire-speed
 //! host-CPU execution, fast and bit-exact) — plus the
 //! [`DurationTable`] that feeds measured shard durations back into
-//! placement. Every job takes the same path: admission either places
-//! it on the running farm or answers it inline, selected by its
+//! placement. Every job takes the same path: it is checked once where
+//! it enters ([`Job::validate`]), then admission either places it on
+//! the running farm or answers it inline, selected by its
 //! [`JobOpts`](crate::JobOpts), and retiring a shard feeds the table.
 //! [`run_queue`](ScaleOutExecutor::run_queue) admits a whole queue and
 //! drains the farm; the async, multi-client
@@ -23,7 +24,7 @@ use crate::backend::{
     TiledJob,
 };
 use crate::farm::ShardRetire;
-use crate::job::{Job, JobQueue};
+use crate::job::{Checked, Job, JobKind, JobQueue};
 use crate::report::ScaleOutReport;
 use crate::SchedError;
 
@@ -225,7 +226,7 @@ impl ScaleOutExecutor {
     /// Counter totals over every shard the farm has retired.
     #[must_use]
     pub fn perf_totals(&self) -> PerfSnapshot {
-        self.sim.perf_totals()
+        self.sim.farm().perf_totals()
     }
 
     /// The simulator backend: the farm's state and counters.
@@ -233,16 +234,21 @@ impl ScaleOutExecutor {
         &self.sim
     }
 
-    /// The fallible half of admission: every check that can reject
-    /// `job`, committing nothing. `Some` carries the tiled plan of a
-    /// farm job; `None` marks a job answered inline.
-    fn plan(&self, job: &Job) -> Result<Option<TiledJob>, SchedError> {
-        match job.opts.backend {
-            BackendKind::Simulate => self.sim.plan(job, &self.table).map(Some),
-            BackendKind::Estimate => job.validate().map(|()| None),
-            BackendKind::NativeFast | BackendKind::NativeExact => {
-                NativeHost::check(job).map(|()| None)
+    /// The fallible half of admission for a checked `job`: every
+    /// planning step that can reject it, committing nothing. `Some`
+    /// carries the tiled plan of a farm job; `None` marks a job
+    /// answered inline.
+    fn plan(&self, job: &Job, checked: Checked) -> Result<Option<TiledJob>, SchedError> {
+        match (job.opts.backend, &job.kind) {
+            (BackendKind::Simulate, _) => self.sim.plan(job, checked, &self.table).map(Some),
+            (BackendKind::NativeFast | BackendKind::NativeExact, JobKind::Raw(_)) => {
+                Err(SchedError::Shape(
+                    "raw NTX command streams have no native lowering; \
+                     submit them with BackendKind::Simulate"
+                        .into(),
+                ))
             }
+            _ => Ok(None),
         }
     }
 
@@ -252,27 +258,28 @@ impl ScaleOutExecutor {
     fn commit(
         &mut self,
         job: &Job,
+        checked: Checked,
         tiled: Option<TiledJob>,
         deadline_cycles: Option<u64>,
     ) -> Result<Admitted, SchedError> {
         let answer = match (tiled, job.opts.backend) {
             (Some(tiled), _) => {
-                self.sim.place(job, tiled, deadline_cycles)?;
+                self.sim.place(job, checked, tiled, deadline_cycles)?;
                 return Ok(Admitted::Placed);
             }
-            (None, BackendKind::NativeFast) => self.native_fast.run(job),
-            (None, BackendKind::NativeExact) => self.native_exact.run(job),
-            (None, _) => self.model.run(job),
+            (None, BackendKind::NativeFast) => self.native_fast.run(job, checked),
+            (None, BackendKind::NativeExact) => self.native_exact.run(job, checked),
+            (None, _) => self.model.run(job, checked),
         };
-        answer.map(Admitted::Answered)
+        Ok(Admitted::Answered(answer))
     }
 
-    /// Admits one job: a simulated job is placed on the running farm
-    /// (or shed when its `deadline_cycles` is provably unmeetable); an
-    /// estimate or native job is answered inline.
-    pub(crate) fn admit(&mut self, job: &Job) -> Result<Admitted, SchedError> {
-        let tiled = self.plan(job)?;
-        self.commit(job, tiled, job.opts.deadline_cycles)
+    /// Admits one checked job: a simulated job is placed on the
+    /// running farm (or shed when its `deadline_cycles` is provably
+    /// unmeetable); an estimate or native job is answered inline.
+    pub(crate) fn admit(&mut self, job: &Job, checked: Checked) -> Result<Admitted, SchedError> {
+        let tiled = self.plan(job, checked)?;
+        self.commit(job, checked, tiled, job.opts.deadline_cycles)
     }
 
     /// Retires the next farm shard and folds its measured duration
@@ -290,17 +297,19 @@ impl ScaleOutExecutor {
         self.sim.take_lost()
     }
 
-    /// Shards `job` across **all** live clusters, plan `i` on the
-    /// `i`-th (the strong-scaling path; queued jobs get graded
+    /// Checks `job`, shards it across **all** live clusters, plan `i`
+    /// on the `i`-th (the strong-scaling path; queued jobs get graded
     /// subsets instead), runs it to completion, and assembles the
     /// output. Its shards teach the duration table nothing.
     ///
     /// # Errors
     ///
-    /// Propagates tiler errors; [`SchedError::Capacity`] when a kill
-    /// leaves no cluster to run the job.
+    /// Propagates [`Job::validate`] and tiler errors;
+    /// [`SchedError::Capacity`] when a kill leaves no cluster to run
+    /// the job.
     pub fn run_job(&mut self, job: &Job) -> Result<JobResult, SchedError> {
-        self.sim.place_full_width(job)?;
+        let checked = job.validate()?;
+        self.sim.place_full_width(job, checked)?;
         let mut done = None;
         while let Some(retire) = self.retire() {
             done = done.or(retire.result);
@@ -309,13 +318,13 @@ impl ScaleOutExecutor {
         done.ok_or_else(lost_job)
     }
 
-    /// Drains the queue through the farm. Every job is planned first —
-    /// validated, sized and tiled — so a bad submission fails the whole
-    /// batch before any simulation time is spent, with the queue intact
-    /// and nothing placed; errors name the offending job. The jobs are
-    /// then all admitted, in submission order, before the first shard
-    /// retires, and the farm is drained. Results come back in
-    /// submission order.
+    /// Drains the queue through the farm. Every job is checked and
+    /// planned first — sized and tiled — so a bad submission fails the
+    /// whole batch before any simulation time is spent, with the queue
+    /// intact and nothing placed; errors name the offending job. The
+    /// jobs are then all admitted, in submission order, before the
+    /// first shard retires, and the farm is drained. Results come back
+    /// in submission order.
     ///
     /// Admission goes through the same path as the
     /// [`Server`](crate::Server)'s, with two differences: `priority` is
@@ -347,18 +356,24 @@ impl ScaleOutExecutor {
                          before the first retires; serve job DAGs through a Server"
                     )),
                 )),
-                None => self.plan(job).map_err(|e| named(job, e)),
+                None => job
+                    .validate()
+                    .and_then(|checked| Ok((checked, self.plan(job, checked)?)))
+                    .map_err(|e| named(job, e)),
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut results: Vec<Option<JobResult>> = Vec::with_capacity(plans.len());
         // Farm jobs by id: their result slot and label. A committed job
         // is dropped at once — its plans hold the data the farm needs.
         let mut placed = std::collections::HashMap::new();
-        for (slot, tiled) in plans.into_iter().enumerate() {
+        for (slot, (checked, tiled)) in plans.into_iter().enumerate() {
             let job = queue.pop().expect("one queued job per plan");
             // Every check ran in the plan pass and a batch sheds
             // nothing, so no commit fails.
-            match self.commit(&job, tiled, None).map_err(|e| named(&job, e))? {
+            match self
+                .commit(&job, checked, tiled, None)
+                .map_err(|e| named(&job, e))?
+            {
                 Admitted::Placed => {
                     placed.insert(job.id, (slot, job.label));
                     results.push(None);

@@ -82,13 +82,13 @@ pub struct JobMeta {
 }
 
 impl JobMeta {
-    /// The farm identity of `job`.
+    /// The farm identity of `job`, whose check returned `checked`.
     #[must_use]
-    pub fn of(job: &crate::Job) -> Self {
+    pub fn of(job: &crate::Job, checked: crate::Checked) -> Self {
         Self {
             id: job.id,
             label: job.label.clone(),
-            output_len: job.output_len(),
+            output_len: checked.output_len(),
             class: job.kind.class(),
             home_cube: job.opts.home_cube,
         }
@@ -1226,9 +1226,10 @@ mod tests {
         let x = (0..2048).map(|i| (i % 61) as f32).collect();
         let y = vec![0.25; 2048];
         let job = Job::new(id, "axpy", JobKind::Axpy { a: 1.5, x, y });
-        let plans = Tiler::new(1).plan(&job, farm.reference_cluster());
+        let checked = job.validate().expect("a valid AXPY");
+        let plans = Tiler::new(1).plan_checked(&job, checked, farm.reference_cluster());
         let shards = vec![(cluster, plans.expect("one AXPY shard").remove(0))];
-        let meta = JobMeta::of(&job);
+        let meta = JobMeta::of(&job, checked);
         farm.admit(PlacedJob { meta, shards }, 0, 0);
     }
 

@@ -11,12 +11,18 @@
 //! FIFO by [`ScaleOutExecutor`](crate::ScaleOutExecutor)) or into a
 //! persistent [`Session`](crate::Session) on the always-on
 //! [`Server`](crate::Server).
+//!
+//! A job is checked once, where it enters the scheduler:
+//! [`Job::validate`] returns the [`Checked`] output length and cost
+//! that every planner behind that point takes instead of checking
+//! again.
 
 use ntx_isa::NtxConfig;
 use ntx_kernels::blas::{AxpyKernel, GemmKernel};
 use ntx_kernels::conv::Conv2dKernel;
 use ntx_kernels::stencil::Laplace2dKernel;
 use ntx_kernels::KernelCost;
+use ntx_sim::MAX_DRAIN_CYCLES;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -255,36 +261,74 @@ impl Job {
     /// traffic), from the kernel library's cost models. This is what
     /// the analytical backend serves and what the placement heuristic
     /// sizes shards with; raw commands count their loop iterations as
-    /// MACs with no external traffic (they run in the TCDM).
+    /// MACs with no external traffic (they run in the TCDM). Both
+    /// counts saturate at `u64::MAX` for a job whose counts overflow,
+    /// which [`validate`](Self::validate) rejects.
     #[must_use]
     pub fn cost(&self) -> KernelCost {
-        match &self.kind {
+        self.checked_cost().unwrap_or(KernelCost {
+            flops: u64::MAX,
+            min_ext_bytes: u64::MAX,
+        })
+    }
+
+    /// [`cost`](Self::cost) in checked `u64` arithmetic: `None` when a
+    /// count overflows or the shape leaves no output. Each kernel cost
+    /// model adds up at most 16 times the product of its non-zero
+    /// dimensions, so that product is checked before the model runs.
+    fn checked_cost(&self) -> Option<KernelCost> {
+        // Also rules out the models' `height - k` underflows.
+        self.checked_output_len()?;
+        let bounded = |dims: &[u32]| {
+            dims.iter()
+                .try_fold(16u64, |n, &d| n.checked_mul(u64::from(d)).filter(|_| d > 0))
+                .is_some()
+        };
+        Some(match &self.kind {
             JobKind::Axpy { a, x, .. } => AxpyKernel {
-                n: x.len() as u32,
+                n: u32::try_from(x.len()).ok()?,
                 a: *a,
             }
             .cost(),
-            JobKind::Gemm { dims, .. } => dims.cost(),
-            JobKind::Conv2d { kernel, .. } => kernel.cost(),
-            JobKind::Stencil2d { height, width, .. } => Laplace2dKernel {
-                height: *height,
-                width: *width,
+            JobKind::Gemm { dims, .. } if bounded(&[dims.m, dims.k, dims.n]) => dims.cost(),
+            JobKind::Conv2d { kernel: c, .. }
+                if bounded(&[c.height, c.width, c.k, c.k, c.filters]) =>
+            {
+                c.cost()
             }
-            .cost(),
+            JobKind::Stencil2d { height, width, .. } if bounded(&[*height, *width]) => {
+                Laplace2dKernel {
+                    height: *height,
+                    width: *width,
+                }
+                .cost()
+            }
             JobKind::Raw(raw) => KernelCost {
-                flops: 2 * raw.config.loops.total_iterations(),
+                flops: raw_iterations(&raw.config)?.checked_mul(2)?,
                 min_ext_bytes: 0,
             },
-        }
+            _ => return None,
+        })
     }
 
-    /// Validates shape consistency between descriptor and data.
+    /// Checks the job once, where it enters the scheduler, and returns
+    /// what the check computed: its output length and its cost. The
+    /// planners behind an entry point take that [`Checked`] value
+    /// instead of checking again.
+    ///
+    /// A raw job must also pass [`NtxConfig::validate`], and its loop
+    /// nest must run fewer than [`MAX_DRAIN_CYCLES`] iterations: the
+    /// cycle simulator gives up on a cluster that has not drained by
+    /// then.
     ///
     /// # Errors
     ///
-    /// Returns [`SchedError::Shape`] on any mismatch or degenerate
-    /// geometry.
-    pub fn validate(&self) -> Result<(), SchedError> {
+    /// [`SchedError::Shape`] on any mismatch or degenerate geometry, a
+    /// self-edge, or an output or cost that overflows;
+    /// [`SchedError::Lowering`] for a raw command the ISA rejects;
+    /// [`SchedError::Capacity`] for a raw loop nest the simulator
+    /// cannot drain.
+    pub fn validate(&self) -> Result<Checked, SchedError> {
         let shape_err = |msg: String| Err(SchedError::Shape(msg));
         // A self-edge can never be satisfied — it would park the job
         // forever waiting for its own completion.
@@ -351,18 +395,66 @@ impl Job {
                 if raw.result_len == 0 {
                     return shape_err("raw: empty result window".into());
                 }
+                raw.config.validate()?;
+                if raw_iterations(&raw.config).is_none_or(|n| n >= MAX_DRAIN_CYCLES) {
+                    return Err(SchedError::Capacity(format!(
+                        "raw: loop bounds {:?} reach the simulator's {MAX_DRAIN_CYCLES}-cycle \
+                         drain limit",
+                        raw.config.loops.bounds()
+                    )));
+                }
             }
         }
         // The tiler indexes outputs with u32 lengths.
-        match self.checked_output_len() {
-            Some(len) if u32::try_from(len).is_ok() => Ok(()),
-            Some(len) => shape_err(format!(
-                "output of {len} elements exceeds the {} the tiler addresses",
-                u32::MAX
-            )),
-            None => shape_err("output length overflows".into()),
-        }
+        let output_len = match self.checked_output_len() {
+            Some(len) if u32::try_from(len).is_ok() => len,
+            Some(len) => {
+                return shape_err(format!(
+                    "output of {len} elements exceeds the {} the tiler addresses",
+                    u32::MAX
+                ))
+            }
+            None => return shape_err("output length overflows".into()),
+        };
+        let Some(cost) = self.checked_cost() else {
+            return shape_err("cost overflows u64".into());
+        };
+        Ok(Checked { output_len, cost })
     }
+}
+
+/// What [`Job::validate`] computed for a job that passed: its output
+/// length and its cost, both in checked arithmetic. Only `validate`
+/// builds one, so a planner that takes it knows its job was checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checked {
+    output_len: usize,
+    cost: KernelCost,
+}
+
+impl Checked {
+    /// Number of `f32` elements in the job's output (at most
+    /// `u32::MAX`).
+    #[must_use]
+    pub fn output_len(self) -> usize {
+        self.output_len
+    }
+
+    /// Analytic cost of the whole job (see [`Job::cost`]).
+    #[must_use]
+    pub fn cost(self) -> KernelCost {
+        self.cost
+    }
+}
+
+/// Innermost iterations of `config`'s loop nest in checked arithmetic
+/// (disabled loops read as 1); `None` when the count overflows `u64`.
+fn raw_iterations(config: &NtxConfig) -> Option<u64> {
+    config
+        .loops
+        .bounds()
+        .iter()
+        .try_fold(1u64, |n, &b| n.checked_mul(u64::from(b)))
 }
 
 /// The product of `dims` in `usize`, or `None` when it overflows.
@@ -401,23 +493,12 @@ impl JobQueue {
     }
 
     /// The enqueue primitive behind the fluent [`JobQueue::job`]
-    /// builder.
-    pub(crate) fn enqueue(
-        &mut self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-    ) -> u64 {
+    /// builder: assigns `job` the next id.
+    pub(crate) fn enqueue(&mut self, mut job: Job) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.jobs.push_back(Job {
-            id,
-            label,
-            kind,
-            opts,
-            deps,
-        });
+        job.id = id;
+        self.jobs.push_back(job);
         id
     }
 
@@ -537,7 +618,7 @@ mod tests {
                 weights: vec![0.0; 18],
             },
         );
-        assert!(conv.validate().is_ok());
+        assert_eq!(conv.validate().unwrap().output_len(), 4 * 3 * 2);
         assert_eq!(conv.output_len(), 4 * 3 * 2);
         let stencil = Job::new(
             0,
@@ -548,7 +629,7 @@ mod tests {
                 grid: vec![0.0; 30],
             },
         );
-        assert!(stencil.validate().is_ok());
+        assert_eq!(stencil.validate().unwrap().output_len(), 4 * 3);
         assert_eq!(stencil.output_len(), 4 * 3);
     }
 

@@ -12,19 +12,27 @@
 //!   `ntx-kernels` (GEMM, 2-D convolution, AXPY, 2-D Laplace stencil)
 //!   plus raw [`ntx_isa::NtxConfig`] commands, each with [`JobOpts`]
 //!   (backend selection, priority, deadline) set through the job
-//!   builder;
+//!   builder. [`Job::validate`] is the one check: it runs once where a
+//!   job enters — the [`Server`] on receipt,
+//!   [`ScaleOutExecutor::run_queue`] and [`ScaleOutExecutor::run_job`],
+//!   [`Tiler::plan`], [`SimulatorBackend::admit_continuous_within`]
+//!   and [`Placement::replay`] — and returns the [`Checked`] output
+//!   length and cost that every planner behind it takes instead of
+//!   checking again;
 //! * **Backends** — [`SimulatorBackend`] executes bit-accurately
-//!   through the cycle simulator's burst API, [`AnalyticalBackend`]
-//!   answers instantly from `ntx-model`'s roofline estimates, and
-//!   [`NativeHost`] executes on the host CPU at wire speed — fast
-//!   multi-accumulator reduction or a Kulisch exact mode
-//!   bit-identical to the simulator — selectable per job;
+//!   through the cycle simulator's burst API, the estimate backend
+//!   ([`BackendKind::Estimate`]) answers instantly from `ntx-model`'s
+//!   roofline estimates, and the native backends
+//!   ([`BackendKind::NativeFast`], [`BackendKind::NativeExact`])
+//!   execute on the host CPU at wire speed — fast multi-accumulator
+//!   reduction or a Kulisch exact mode bit-identical to the simulator
+//!   — selectable per job;
 //! * **Executor** — [`ScaleOutExecutor`] owns one of each backend and
 //!   the measured-duration [`DurationTable`], and is the one queue
-//!   runner: every job is planned (validated, sized to a graded
-//!   cluster subset, tiled), then either placed on the farm or
-//!   answered inline, and each retired shard feeds the table. The
-//!   [`Server`] and [`ScaleOutExecutor::run_queue`] drive it alike;
+//!   runner: every checked job is planned (sized to a graded cluster
+//!   subset, tiled), then either placed on the farm or answered
+//!   inline, and each retired shard feeds the table. The [`Server`]
+//!   and [`ScaleOutExecutor::run_queue`] drive it alike;
 //! * **Farm** — the [`ClusterFarm`] drives N independent clusters by
 //!   burst events with no per-job barrier: each cluster starts its
 //!   next shard the cycle its previous one retires, and small jobs
@@ -47,9 +55,9 @@
 //!   double-buffered DMA schedule;
 //! * **Serving** — the [`Server`] runs the farm as a persistent
 //!   service: clients hold cloneable [`Session`]s and submit through
-//!   the fluent [`JobBuilder`]; every job is validated, planned and
-//!   placed onto the least-loaded clusters the moment it arrives —
-//!   sized to graded cluster subsets by a measured-duration
+//!   the fluent [`JobBuilder`]; every job is checked on receipt, then
+//!   planned and placed onto the least-loaded clusters the moment it
+//!   is ready — sized to graded cluster subsets by a measured-duration
 //!   [`DurationTable`] (EWMA of actual cluster-cycles, seeded by
 //!   roofline estimates) — and its completion is delivered the shard
 //!   event its last shard retires;
@@ -108,15 +116,12 @@ pub mod server;
 pub mod session;
 pub mod tiler;
 
-pub use backend::{
-    AnalyticalBackend, BackendKind, DurationTable, JobEstimate, NativeHost, Placement,
-    SimulatorBackend,
-};
+pub use backend::{BackendKind, DurationTable, JobEstimate, Placement, SimulatorBackend};
 pub use executor::{run_sharded, BatchResult, JobResult, ScaleOutConfig, ScaleOutExecutor};
 pub use farm::{
     resolve_worker_threads, ClusterFarm, FaultStats, JobMeta, PlacedJob, PoolStats, ShardRetire,
 };
-pub use job::{Job, JobClass, JobKind, JobOpts, JobQueue, RawJob};
+pub use job::{Checked, Job, JobClass, JobKind, JobOpts, JobQueue, RawJob};
 pub use ntx_mem::{HmcConfig, HmcMesh, MemoryModel, MeshConfig};
 pub use ntx_sim::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use pipeline::TilePipeline;
@@ -149,7 +154,8 @@ pub enum SchedError {
         /// windows an explicit split would need.
         suggested_passes: u32,
     },
-    /// The kernel lowering rejected a configuration.
+    /// The kernel lowering, or the ISA's check of a raw job's
+    /// command, rejected a configuration.
     Lowering(ConfigError),
     /// A job in a batch failed; identifies the submission so callers
     /// know which job to fix.

@@ -4,8 +4,9 @@
 //! [`ScaleOutExecutor`]; any number of client
 //! threads submit jobs through cloned [`Session`]s (see
 //! [`Server::session`]) over an mpsc channel. The farm runs as a
-//! persistent service: every submission is validated, planned and
-//! placed onto the least-loaded clusters the moment it arrives (graded
+//! persistent service: every submission is checked once on receipt
+//! ([`Job::validate`]), then planned and placed onto the least-loaded
+//! clusters the moment it is ready (graded
 //! cluster subsets sized by the measured-duration [`DurationTable`]);
 //! the worker interleaves admission with per-shard farm events
 //! ([`ClusterFarm::step`]) and delivers each [`Completion`] the event
@@ -27,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crate::backend::BackendKind;
 use crate::executor::{lost_job, Admitted, JobResult, ScaleOutConfig, ScaleOutExecutor};
-use crate::job::{Job, JobKind, JobOpts};
+use crate::job::{Checked, Job};
 use crate::report::ServingReport;
 use crate::session::Session;
 use crate::SchedError;
@@ -183,18 +184,14 @@ pub struct Completion {
 }
 
 /// How a completion travels back to the client.
-enum Reply {
+pub(crate) enum Reply {
     Handle(Sender<Completion>),
     Callback(Box<dyn FnOnce(Completion) + Send + 'static>),
 }
 
 /// One submission in flight.
 struct Submission {
-    id: u64,
-    label: String,
-    kind: JobKind,
-    opts: JobOpts,
-    deps: Vec<u64>,
+    job: Job,
     submitted: Instant,
     reply: Reply,
 }
@@ -212,7 +209,7 @@ enum Msg {
 pub struct JobHandle {
     /// Submission id (also the `job_id` of the eventual result).
     pub id: u64,
-    rx: Receiver<Completion>,
+    pub(crate) rx: Receiver<Completion>,
 }
 
 impl JobHandle {
@@ -270,80 +267,27 @@ pub(crate) struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Handle-reply submission primitive (the [`Session`] sink).
-    pub(crate) fn send_handle(
-        &self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-    ) -> Result<JobHandle, SchedError> {
-        let (tx, rx) = channel();
-        let id = self.send(label, kind, opts, deps, Reply::Handle(tx))?;
-        Ok(JobHandle { id, rx })
-    }
-
-    /// Callback-reply submission primitive (the [`Session`] sink).
-    pub(crate) fn send_callback(
-        &self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-        callback: impl FnOnce(Completion) + Send + 'static,
-    ) -> Result<u64, SchedError> {
-        self.send(label, kind, opts, deps, Reply::Callback(Box::new(callback)))
-    }
-
-    /// Blocking handle-reply submission: waits for an admission slot
-    /// instead of returning [`SchedError::Backpressure`] (the
-    /// [`submit_wait`](crate::session::ReadyJob::submit_wait) sink).
-    pub(crate) fn send_handle_wait(
-        &self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-    ) -> Result<JobHandle, SchedError> {
-        self.gauge.acquire_blocking()?;
-        let (tx, rx) = channel();
-        let id = self.send_acquired(label, kind, opts, deps, Reply::Handle(tx))?;
-        Ok(JobHandle { id, rx })
-    }
-
-    fn send(
-        &self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-        reply: Reply,
-    ) -> Result<u64, SchedError> {
-        self.gauge.try_acquire()?;
-        self.send_acquired(label, kind, opts, deps, reply)
-    }
-
-    /// Sends a submission whose admission slot is already claimed; the
-    /// slot is returned on a failed send (worker gone).
-    fn send_acquired(
-        &self,
-        label: String,
-        kind: JobKind,
-        opts: JobOpts,
-        deps: Vec<u64>,
-        reply: Reply,
-    ) -> Result<u64, SchedError> {
+    /// The one submission primitive behind every [`Session`] call:
+    /// claims an admission slot, assigns `job` the next submission id
+    /// and sends it to the worker, which routes the completion to
+    /// `reply`. `wait` blocks while the bounded queue is full instead
+    /// of failing with [`SchedError::Backpressure`]; the slot is
+    /// returned when the worker is gone.
+    pub(crate) fn send(&self, mut job: Job, reply: Reply, wait: bool) -> Result<u64, SchedError> {
+        if wait {
+            self.gauge.acquire_blocking()?;
+        } else {
+            self.gauge.try_acquire()?;
+        }
         let id = self.seq.fetch_add(1, Ordering::Relaxed);
+        job.id = id;
+        let submission = Submission {
+            job,
+            submitted: Instant::now(),
+            reply,
+        };
         self.tx
-            .send(Msg::Submit(Box::new(Submission {
-                id,
-                label,
-                kind,
-                opts,
-                deps,
-                submitted: Instant::now(),
-                reply,
-            })))
+            .send(Msg::Submit(Box::new(submission)))
             .map(|()| id)
             .map_err(|_| {
                 self.gauge.release();
@@ -425,21 +369,26 @@ impl Server {
     }
 }
 
-/// Delivers one completion, folds it into the running statistics, and
-/// returns the submission's admission slot to the gauge.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    stats: &mut ServingReport,
-    gauge: &AdmissionGauge,
+/// One pending submission: everything needed to route the completion.
+struct Pending {
     submitted: Instant,
     deadline: Option<Duration>,
     reply: Reply,
+}
+
+/// Delivers one completion to `p`, folds it into the running
+/// statistics, and returns the submission's admission slot to the
+/// gauge.
+fn deliver(
+    stats: &mut ServingReport,
+    gauge: &AdmissionGauge,
+    p: Pending,
     id: u64,
     result: Result<JobResult, SchedError>,
 ) {
     gauge.release();
-    let latency = submitted.elapsed();
-    let deadline_missed = deadline.is_some_and(|d| latency > d);
+    let latency = p.submitted.elapsed();
+    let deadline_missed = p.deadline.is_some_and(|d| latency > d);
     stats.jobs += 1;
     match &result {
         Ok(r) => match r.backend {
@@ -460,7 +409,7 @@ fn deliver(
         latency,
         deadline_missed,
     };
-    match reply {
+    match p.reply {
         // A client that dropped its handle just doesn't hear back.
         Reply::Handle(tx) => drop(tx.send(completion)),
         // One misbehaving callback must not take down the worker (and
@@ -472,13 +421,6 @@ fn deliver(
     }
 }
 
-/// One pending submission: everything needed to route the completion.
-struct Pending {
-    submitted: Instant,
-    deadline: Option<Duration>,
-    reply: Reply,
-}
-
 /// Removes the pending entry of `id`, if the client is still waiting.
 fn take(pending: &mut Vec<(u64, Pending)>, id: u64) -> Option<Pending> {
     pending
@@ -487,10 +429,13 @@ fn take(pending: &mut Vec<(u64, Pending)>, id: u64) -> Option<Pending> {
         .map(|i| pending.remove(i).1)
 }
 
-/// A validated submission parked on dependency edges: it enters
-/// admission the event the last id in `missing` finishes.
-struct Waiting {
+/// A checked submission on its way to admission: the job, what its
+/// check computed, where its completion goes, and the predecessors it
+/// is parked on. It is ready the event the last id in `missing`
+/// finishes.
+struct Ready {
     job: Job,
+    checked: Checked,
     p: Pending,
     missing: Vec<u64>,
 }
@@ -536,7 +481,7 @@ struct ContinuousState {
     /// satisfied.
     done: DoneIds,
     /// Jobs parked on unfinished predecessors.
-    waiting: Vec<Waiting>,
+    waiting: Vec<Ready>,
 }
 
 impl ContinuousState {
@@ -547,7 +492,7 @@ impl ContinuousState {
     /// dependents exactly once (its completion is also delivered
     /// exactly once: [`take`] removes the pending entry on the first
     /// retire that carries the merged result).
-    fn finish(&mut self, id: u64) -> Vec<(Job, Pending)> {
+    fn finish(&mut self, id: u64) -> Vec<Ready> {
         if !self.done.insert(id) {
             return Vec::new();
         }
@@ -556,8 +501,7 @@ impl ContinuousState {
         while i < self.waiting.len() {
             self.waiting[i].missing.retain(|d| *d != id);
             if self.waiting[i].missing.is_empty() {
-                let w = self.waiting.remove(i);
-                ready.push((w.job, w.p));
+                ready.push(self.waiting.remove(i));
             } else {
                 i += 1;
             }
@@ -571,9 +515,12 @@ impl ContinuousState {
     /// the caller can cascade the release of its dependents; `None`
     /// when the job was placed on the farm and will finish at a retire
     /// event.
-    fn admit(&mut self, job: Job, p: Pending, gauge: &AdmissionGauge) -> Option<u64> {
+    fn admit(&mut self, ready: Ready, gauge: &AdmissionGauge) -> Option<u64> {
+        let Ready {
+            job, checked, p, ..
+        } = ready;
         let id = job.id;
-        let admitted = self.exec.admit(&job);
+        let admitted = self.exec.admit(&job, checked);
         // Free the operands before the completion wakes the client: its
         // next submission can then reuse their pages instead of
         // faulting in fresh ones.
@@ -591,15 +538,7 @@ impl ContinuousState {
                 Err(e)
             }
         };
-        deliver(
-            &mut self.stats,
-            gauge,
-            p.submitted,
-            p.deadline,
-            p.reply,
-            id,
-            result,
-        );
+        deliver(&mut self.stats, gauge, p, id, result);
         Some(id)
     }
 
@@ -607,15 +546,7 @@ impl ContinuousState {
     /// dependents its completion releases.
     fn complete(&mut self, id: u64, result: Result<JobResult, SchedError>, gauge: &AdmissionGauge) {
         if let Some(p) = take(&mut self.pending, id) {
-            deliver(
-                &mut self.stats,
-                gauge,
-                p.submitted,
-                p.deadline,
-                p.reply,
-                id,
-                result,
-            );
+            deliver(&mut self.stats, gauge, p, id, result);
             let released = self.finish(id);
             self.drain_ready(released, gauge);
         }
@@ -627,17 +558,16 @@ impl ContinuousState {
     /// own admission. Released dependents merge into the ordering, so
     /// a high-priority dependent overtakes lower-priority jobs that
     /// were ready before it.
-    fn drain_ready(&mut self, mut ready: Vec<(Job, Pending)>, gauge: &AdmissionGauge) {
+    fn drain_ready(&mut self, mut ready: Vec<Ready>, gauge: &AdmissionGauge) {
         while !ready.is_empty() {
             let mut best = 0;
             for i in 1..ready.len() {
-                let key = |j: &Job| (std::cmp::Reverse(j.opts.priority), j.id);
-                if key(&ready[i].0) < key(&ready[best].0) {
+                let key = |r: &Ready| (std::cmp::Reverse(r.job.opts.priority), r.job.id);
+                if key(&ready[i]) < key(&ready[best]) {
                     best = i;
                 }
             }
-            let (job, p) = ready.swap_remove(best);
-            if let Some(id) = self.admit(job, p, gauge) {
+            if let Some(id) = self.admit(ready.swap_remove(best), gauge) {
                 ready.append(&mut self.finish(id));
             }
         }
@@ -697,7 +627,7 @@ fn continuous_loop(
         // arrive on this channel.
         group.clear();
         if open {
-            if !st.exec.sim().has_farm_work() {
+            if !st.exec.sim().farm().has_pending() {
                 match rx.recv() {
                     Ok(Msg::Submit(s)) => group.push(*s),
                     Ok(Msg::Shutdown) | Err(_) => open = false,
@@ -714,48 +644,47 @@ fn continuous_loop(
         if !group.is_empty() {
             st.stats.waves += 1;
         }
-        // Validate and park-or-ready each submission; the ready set is
-        // then admitted in priority order (ids break ties). A job that
-        // fails validation completes right here — which still counts
-        // as finishing for its dependents.
-        let mut ready: Vec<(Job, Pending)> = Vec::new();
-        for s in group.drain(..) {
-            let job = Job {
-                id: s.id,
-                label: s.label,
-                kind: s.kind,
-                opts: s.opts,
-                deps: s.deps,
-            };
+        // Check each submission once, on receipt, and park it or mark
+        // it ready; the ready set is then admitted in priority order
+        // (ids break ties). A job that fails its check completes right
+        // here — which still counts as finishing for its dependents.
+        let mut ready: Vec<Ready> = Vec::new();
+        for Submission {
+            job,
+            submitted,
+            reply,
+        } in group.drain(..)
+        {
             let p = Pending {
-                submitted: s.submitted,
-                deadline: s.opts.deadline,
-                reply: s.reply,
+                submitted,
+                deadline: job.opts.deadline,
+                reply,
             };
-            if let Err(e) = job.validate() {
-                let id = job.id;
-                deliver(
-                    &mut st.stats,
-                    gauge,
-                    p.submitted,
-                    p.deadline,
-                    p.reply,
-                    id,
-                    Err(e),
-                );
-                ready.append(&mut st.finish(id));
-                continue;
-            }
+            let checked = match job.validate() {
+                Ok(checked) => checked,
+                Err(e) => {
+                    deliver(&mut st.stats, gauge, p, job.id, Err(e));
+                    ready.append(&mut st.finish(job.id));
+                    continue;
+                }
+            };
             let missing: Vec<u64> = job
                 .deps
                 .iter()
                 .copied()
                 .filter(|&d| !st.done.contains(d))
                 .collect();
-            if missing.is_empty() {
-                ready.push((job, p));
+            let parked = !missing.is_empty();
+            let entry = Ready {
+                job,
+                checked,
+                p,
+                missing,
+            };
+            if parked {
+                st.waiting.push(entry);
             } else {
-                st.waiting.push(Waiting { job, p, missing });
+                ready.push(entry);
             }
         }
         st.drain_ready(ready, gauge);
@@ -781,28 +710,21 @@ fn continuous_loop(
     // never submitted, or it is itself parked). Fail them all.
     for w in std::mem::take(&mut st.waiting) {
         let dep = w.missing.first().copied().unwrap_or(w.job.id);
-        deliver(
-            &mut st.stats,
-            gauge,
-            w.p.submitted,
-            w.p.deadline,
-            w.p.reply,
-            w.job.id,
-            Err(SchedError::DependencyDropped { dep }),
-        );
+        let dropped = Err(SchedError::DependencyDropped { dep });
+        deliver(&mut st.stats, gauge, w.p, w.job.id, dropped);
     }
     let mut stats = st.stats;
-    let sim = st.exec.sim();
-    stats.makespan_cycles = sim.farm_makespan();
-    let totals = sim.perf_totals();
+    let farm = st.exec.sim().farm();
+    stats.makespan_cycles = farm.makespan();
+    let totals = farm.perf_totals();
     stats.ext_wait_cycles = totals.ext_wait_cycles;
     stats.ext_remote_bytes = totals.ext_remote_bytes;
     stats.ext_remote_wait_cycles = totals.ext_remote_wait_cycles;
     stats.fault_stall_cycles = totals.fault_stall_cycles;
-    let faults = sim.fault_stats();
+    let faults = farm.fault_stats();
     stats.faults_injected = faults.faults_injected;
     stats.shards_retried = faults.shards_retried;
-    let pool = sim.pool_stats();
+    let pool = farm.pool_stats();
     stats.worker_threads = pool.worker_threads;
     stats.pool_shards_merged = pool.shards_merged;
     stats.pool_shards_reclaimed = pool.shards_reclaimed;
@@ -814,6 +736,7 @@ fn continuous_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JobKind;
 
     #[test]
     fn done_ids_hold_only_the_out_of_order_tail() {

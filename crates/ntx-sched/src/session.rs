@@ -41,8 +41,8 @@ use ntx_kernels::conv::Conv2dKernel;
 use std::time::Duration;
 
 use crate::backend::BackendKind;
-use crate::job::{JobKind, JobOpts, JobQueue, RawJob};
-use crate::server::{Completion, JobHandle, ServerHandle};
+use crate::job::{Job, JobKind, JobQueue, RawJob};
+use crate::server::{Completion, JobHandle, Reply, ServerHandle};
 use crate::SchedError;
 
 /// Where a [`JobBuilder`] delivers its finished job. Implemented by
@@ -52,21 +52,22 @@ use crate::SchedError;
 pub trait JobSink {
     /// What the sink hands back at submission.
     type Receipt;
-    /// Accepts one fully-specified job, with its predecessor edges.
-    fn accept(self, label: String, kind: JobKind, opts: JobOpts, deps: Vec<u64>) -> Self::Receipt;
+    /// Accepts one fully-specified job, options and predecessor edges
+    /// included; the sink assigns its id.
+    fn accept(self, job: Job) -> Self::Receipt;
 }
 
 impl JobSink for &mut JobQueue {
     type Receipt = u64;
-    fn accept(self, label: String, kind: JobKind, opts: JobOpts, deps: Vec<u64>) -> u64 {
-        self.enqueue(label, kind, opts, deps)
+    fn accept(self, job: Job) -> u64 {
+        self.enqueue(job)
     }
 }
 
 impl JobSink for &Session {
     type Receipt = Result<JobHandle, SchedError>;
-    fn accept(self, label: String, kind: JobKind, opts: JobOpts, deps: Vec<u64>) -> Self::Receipt {
-        self.handle.send_handle(label, kind, opts, deps)
+    fn accept(self, job: Job) -> Self::Receipt {
+        self.send_handle(job, false)
     }
 }
 
@@ -87,6 +88,15 @@ impl Session {
             sink: self,
             label: label.into(),
         }
+    }
+
+    /// Submits `job` with its completion delivered to a [`JobHandle`];
+    /// `wait` blocks for an admission slot instead of failing with
+    /// [`SchedError::Backpressure`].
+    fn send_handle(&self, job: Job, wait: bool) -> Result<JobHandle, SchedError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let id = self.handle.send(job, Reply::Handle(tx), wait)?;
+        Ok(JobHandle { id, rx })
     }
 }
 
@@ -115,10 +125,7 @@ impl<S: JobSink> JobBuilder<S> {
     pub fn kind(self, kind: JobKind) -> ReadyJob<S> {
         ReadyJob {
             sink: self.sink,
-            label: self.label,
-            kind,
-            opts: JobOpts::default(),
-            deps: Vec::new(),
+            job: Job::new(0, self.label, kind),
         }
     }
 
@@ -161,10 +168,8 @@ impl<S: JobSink> JobBuilder<S> {
 #[derive(Debug)]
 pub struct ReadyJob<S: JobSink> {
     sink: S,
-    label: String,
-    kind: JobKind,
-    opts: JobOpts,
-    deps: Vec<u64>,
+    /// The job as it will be submitted; the sink assigns its id.
+    job: Job,
 }
 
 impl<S: JobSink> ReadyJob<S> {
@@ -172,7 +177,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// submissions are pending at once).
     #[must_use]
     pub fn priority(mut self, priority: u8) -> Self {
-        self.opts.priority = priority;
+        self.job.opts.priority = priority;
         self
     }
 
@@ -182,7 +187,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// variant.
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.opts.deadline = Some(deadline);
+        self.job.opts.deadline = Some(deadline);
         self
     }
 
@@ -193,14 +198,14 @@ impl<S: JobSink> ReadyJob<S> {
     /// burning farm time on a guaranteed miss.
     #[must_use]
     pub fn deadline_cycles(mut self, cycles: u64) -> Self {
-        self.opts.deadline_cycles = Some(cycles);
+        self.job.opts.deadline_cycles = Some(cycles);
         self
     }
 
     /// Selects the executing backend.
     #[must_use]
     pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.opts.backend = backend;
+        self.job.opts.backend = backend;
         self
     }
 
@@ -210,7 +215,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// this, jobs spread round-robin over the cubes by id.
     #[must_use]
     pub fn home_cube(mut self, cube: u32) -> Self {
-        self.opts.home_cube = Some(cube);
+        self.job.opts.home_cube = Some(cube);
         self
     }
 
@@ -254,7 +259,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// rejects a [`JobQueue`] job that has them.
     #[must_use]
     pub fn after(mut self, handle: &crate::JobHandle) -> Self {
-        self.deps.push(handle.id);
+        self.job.deps.push(handle.id);
         self
     }
 
@@ -265,7 +270,7 @@ impl<S: JobSink> ReadyJob<S> {
         mut self,
         handles: impl IntoIterator<Item = &'a crate::JobHandle>,
     ) -> Self {
-        self.deps.extend(handles.into_iter().map(|h| h.id));
+        self.job.deps.extend(handles.into_iter().map(|h| h.id));
         self
     }
 
@@ -276,7 +281,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// [`SchedError::DependencyDropped`].
     #[must_use]
     pub fn after_id(mut self, id: u64) -> Self {
-        self.deps.push(id);
+        self.job.deps.push(id);
         self
     }
 
@@ -284,8 +289,7 @@ impl<S: JobSink> ReadyJob<S> {
     /// [`JobHandle`] from a [`Session`], the job id from a
     /// [`JobQueue`].
     pub fn submit(self) -> S::Receipt {
-        self.sink
-            .accept(self.label, self.kind, self.opts, self.deps)
+        self.sink.accept(self.job)
     }
 }
 
@@ -303,9 +307,8 @@ impl ReadyJob<&Session> {
         self,
         callback: impl FnOnce(Completion) + Send + 'static,
     ) -> Result<u64, SchedError> {
-        self.sink
-            .handle
-            .send_callback(self.label, self.kind, self.opts, self.deps, callback)
+        let reply = Reply::Callback(Box::new(callback));
+        self.sink.handle.send(self.job, reply, false)
     }
 
     /// Blocking variant of [`submit`](Self::submit): when the server's
@@ -317,9 +320,7 @@ impl ReadyJob<&Session> {
     ///
     /// [`SchedError::Shutdown`] when the server is no longer running.
     pub fn submit_wait(self) -> Result<crate::JobHandle, SchedError> {
-        self.sink
-            .handle
-            .send_handle_wait(self.label, self.kind, self.opts, self.deps)
+        self.sink.send_handle(self.job, true)
     }
 }
 

@@ -35,7 +35,7 @@ use ntx_kernels::split_work;
 use ntx_mem::{DmaDescriptor, DmaDirection};
 use ntx_sim::Cluster;
 
-use crate::job::{Job, JobKind, RawJob};
+use crate::job::{Checked, Job, JobKind, RawJob};
 use crate::SchedError;
 
 /// External-memory base address of the first input operand
@@ -131,18 +131,33 @@ impl Tiler {
         Self { clusters }
     }
 
-    /// Plans `job` across the clusters. `cluster` is any one of the
-    /// (identically configured) clusters, consulted for TCDM capacity
-    /// and engine count.
+    /// Checks `job` and plans it across the clusters. `cluster` is any
+    /// one of the (identically configured) clusters, consulted for
+    /// TCDM capacity and engine count.
     ///
     /// # Errors
     ///
-    /// [`SchedError::Shape`] for inconsistent jobs,
-    /// [`SchedError::Capacity`] when a shard cannot fit the TCDM or
-    /// its external-memory region, and [`SchedError::PlanTooLarge`]
-    /// when a raw job's opaque TCDM window exceeds the TCDM.
+    /// Every [`Job::validate`] error, [`SchedError::Capacity`] when a
+    /// shard cannot fit the TCDM or its external-memory region, and
+    /// [`SchedError::PlanTooLarge`] when a raw job's opaque TCDM window
+    /// exceeds the TCDM.
     pub fn plan(&self, job: &Job, cluster: &Cluster) -> Result<Vec<ClusterPlan>, SchedError> {
-        job.validate()?;
+        self.plan_checked(job, job.validate()?, cluster)
+    }
+
+    /// [`plan`](Self::plan) for a job already checked where it
+    /// entered: `checked` is what [`Job::validate`] returned for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::Capacity`] and [`SchedError::PlanTooLarge`], as
+    /// [`plan`](Self::plan).
+    pub fn plan_checked(
+        &self,
+        job: &Job,
+        checked: Checked,
+        cluster: &Cluster,
+    ) -> Result<Vec<ClusterPlan>, SchedError> {
         let mut plans = vec![ClusterPlan::default(); self.clusters];
         match &job.kind {
             JobKind::Axpy { a, x, y } => self.plan_axpy(&mut plans, cluster, *a, x, y)?,
@@ -200,6 +215,15 @@ impl Tiler {
                 plan.raw = Some(raw.clone());
             }
         }
+        debug_assert_eq!(
+            plans
+                .iter()
+                .flat_map(|p| &p.readbacks)
+                .map(|r| r.len as usize)
+                .sum::<usize>(),
+            checked.output_len(),
+            "the readbacks cover the output exactly once"
+        );
         Ok(plans)
     }
 

@@ -246,7 +246,7 @@ fn drive(kinds: &[JobKind], config: ScaleOutConfig, steps_between: usize) -> Dri
     };
     for (i, kind) in kinds.iter().enumerate() {
         let placement = sim
-            .admit_continuous(&numbered(i, kind), &table)
+            .admit_continuous_within(&numbered(i, kind), &table, None)
             .expect("continuous admission");
         placements.push(placement);
         for _ in 0..steps_between {
@@ -261,8 +261,8 @@ fn drive(kinds: &[JobKind], config: ScaleOutConfig, steps_between: usize) -> Dri
             .collect(),
         placements,
         trace,
-        faults: sim.fault_stats(),
-        makespan: sim.farm_makespan(),
+        faults: sim.farm().fault_stats(),
+        makespan: sim.farm().makespan(),
     }
 }
 
@@ -624,14 +624,20 @@ fn late_small_job_overtakes_inflight_wave() {
     // The wave goes in first, as one admission group.
     for (i, kind) in kinds[..mediums].iter().enumerate() {
         let job = Job::new(i as u64, format!("job-{i}"), kind.clone());
-        placements.push(sim.admit_continuous(&job, &table).expect("admit medium"));
+        placements.push(
+            sim.admit_continuous_within(&job, &table, None)
+                .expect("admit medium"),
+        );
     }
     // One shard retires: the wave is now genuinely in flight.
     let first = sim.step_farm().expect("wave has work");
     assert!(first.result.is_none(), "no wave job may be finished yet");
     // The small job arrives late, into the running farm.
     let job = Job::new(small as u64, format!("job-{small}"), kinds[small].clone());
-    placements.push(sim.admit_continuous(&job, &table).expect("admit small"));
+    placements.push(
+        sim.admit_continuous_within(&job, &table, None)
+            .expect("admit small"),
+    );
     while let Some(r) = sim.step_farm() {
         if let Some(res) = r.result {
             let slot = res.job_id as usize;

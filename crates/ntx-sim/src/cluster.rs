@@ -10,6 +10,12 @@ use ntx_mem::{
 };
 use ntx_riscv::{AccessSize, Bus, BusError, Cpu, Trap};
 
+/// The hang guard of [`Cluster::run_to_completion`]: a cluster that has
+/// not drained after this many cycles panics. An engine retires at most
+/// one innermost loop iteration per cycle, so a command with at least
+/// this many iterations can never finish under the guard.
+pub const MAX_DRAIN_CYCLES: u64 = 1_000_000_000;
+
 /// Static configuration of a cluster instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
@@ -529,14 +535,14 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics after 10^9 cycles as a hang guard.
+    /// Panics after [`MAX_DRAIN_CYCLES`] cycles as a hang guard.
     pub fn run_to_completion(&mut self) -> u64 {
         let start = self.cycle;
         while !self.is_idle() {
             self.run_burst(u64::MAX);
             assert!(
-                self.cycle - start < 1_000_000_000,
-                "cluster failed to drain within 1e9 cycles"
+                self.cycle - start < MAX_DRAIN_CYCLES,
+                "cluster failed to drain within {MAX_DRAIN_CYCLES} cycles"
             );
         }
         self.cycle - start

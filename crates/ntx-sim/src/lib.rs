@@ -47,7 +47,7 @@ mod mmio;
 mod ntx_engine;
 mod perf;
 
-pub use cluster::{Cluster, ClusterConfig};
+pub use cluster::{Cluster, ClusterConfig, MAX_DRAIN_CYCLES};
 pub use fault::{ClusterKill, FaultPlan, LinkFault, StallSpec};
 pub use mmio::map;
 pub use ntx_engine::{AccessList, BurstOutcome, EngineStatus, NtxEngine};
